@@ -20,10 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .anchors import compute_anchors
-from .emit import PlotSeries, fmt6, svg_line_plot, write_csv, write_json, write_run_config
+from .anchors import compute_anchors, reference_line
+from .emit import (
+    PlotSeries,
+    csv_text,
+    fmt6,
+    svg_line_plot,
+    write_csv,
+    write_json,
+    write_run_config,
+)
 from .empirics import build_report, load_scores
-from .errors import ConfigError, DataValidationError, DomainError, PanelMetricsError
+from .errors import DataValidationError, DomainError, PanelMetricsError
 from .laws import (
     PanelQuery,
     effective_rho,
@@ -188,12 +196,6 @@ def _regime_warning(q: float, rho: float) -> str | None:
     return None
 
 
-def _print_table(header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(fmt6(cell) for cell in row))
-
-
 def cmd_formula(args) -> int:
     warn = _regime_warning(args.q, args.rho)
     if warn:
@@ -211,7 +213,7 @@ def cmd_formula(args) -> int:
             )
         )
     header = ("n", "b", "rho_n", "precision")
-    _print_table(header, rows)
+    print(csv_text(header, rows), end="")
 
     out = _prepare_out(args)
     if out is not None:
@@ -324,7 +326,7 @@ def cmd_curves(args) -> int:
         root.derive(len(_CURVE_DISTRIBUTIONS)),
         p_avg_02,
     )
-    ref = 1.0 + (1.0 - p_avg_02) / 0.8 * (grid - 1.0)
+    ref = reference_line(grid, p_avg_02)
 
     print(
         f"m={args.m} rho={fmt6(args.rho)} trials={args.trials}: "
@@ -441,10 +443,8 @@ def cmd_scaling(args) -> int:
             print(f"regression skipped for q={fmt6(q)}: {exc}", file=sys.stderr)
 
     grid_header = ("q", "target_rho", "measured_rho", "best_b")
-    _print_table(
-        grid_header,
-        [(r.q, r.target_rho, r.measured_rho, r.best_b) for r in rows],
-    )
+    grid_rows = [(r.q, r.target_rho, r.measured_rho, r.best_b) for r in rows]
+    print(csv_text(grid_header, grid_rows), end="")
     for reg in regressions:
         print(
             f"q={fmt6(reg.q)}: b ~ {fmt6(reg.intercept)} + {fmt6(reg.slope)}*rho "
@@ -454,11 +454,7 @@ def cmd_scaling(args) -> int:
     out = _prepare_out(args)
     if out is not None:
         if "csv" in args.format:
-            write_csv(
-                out / "b_grid.csv",
-                grid_header,
-                [(r.q, r.target_rho, r.measured_rho, r.best_b) for r in rows],
-            )
+            write_csv(out / "b_grid.csv", grid_header, grid_rows)
             write_csv(
                 out / "regression.csv",
                 ("q", "slope", "intercept", "r_squared"),
@@ -615,9 +611,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PanelMetricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

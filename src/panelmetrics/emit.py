@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "fmt6",
     "to_jsonable",
+    "csv_text",
     "write_csv",
     "write_json",
     "write_run_config",
@@ -38,10 +39,15 @@ def fmt6(value: Any) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """The CSV table as text: a header line, then one line per row."""
     lines = [",".join(header)]
     lines.extend(",".join(fmt6(cell) for cell in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    Path(path).write_text(csv_text(header, rows))
 
 
 def to_jsonable(obj: Any) -> Any:

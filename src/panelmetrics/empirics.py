@@ -19,11 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, DomainError, NumericalError
+from .errors import DataValidationError, DomainError
 from .laws import spearman_brown
 from .precision import PrecisionCurve, precision_curve
 from .simulate import mean_offdiag_correlation
 from .special import std_normal_quantile, student_t_sf_two_sided
+from .streams import standardize
 
 __all__ = [
     "TaskScores",
@@ -84,20 +85,16 @@ def _validate_table(table: ScoreTable) -> ScoreTable:
     return table
 
 
-def load_scores(path: str | Path, format: str | None = None) -> ScoreTable:
-    """Read a ScoreTable from CSV or JSON.
+def load_scores(path: str | Path) -> ScoreTable:
+    """Read a ScoreTable from CSV or JSON; a ``.json`` suffix means JSON.
 
     CSV schema: header ``task,candidate_id,attr,ai_1,...,ai_n`` and one
     row per (task, candidate). The JSON form is the same data nested by
     task; ``save_scores`` writes both. Errors name the offending line.
     """
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format not in ("csv", "json"):
-        raise DataValidationError(f"unknown score-table format {format!r}")
     try:
-        return _load_csv(path) if format == "csv" else _load_json(path)
+        return _load_json(path) if path.suffix.lower() == ".json" else _load_csv(path)
     except OSError as exc:
         raise DataValidationError(f"cannot read {path}: {exc.strerror}") from None
 
@@ -179,25 +176,13 @@ def _load_json(path: Path) -> ScoreTable:
     return _validate_table(ScoreTable(ai_names=ai_names, tasks=tasks))
 
 
-def save_scores(table: ScoreTable, path: str | Path, format: str | None = None) -> None:
-    """Write a ScoreTable; the output reloads to an identical table."""
+def save_scores(table: ScoreTable, path: str | Path) -> None:
+    """Write a ScoreTable, as JSON for a ``.json`` suffix and CSV otherwise.
+
+    The output reloads to an identical table.
+    """
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task", "candidate_id", "attr", *table.ai_names])
-            for task in table.tasks:
-                for cand, attr, scores in zip(
-                    task.candidate_ids, task.attrs, task.matrix
-                ):
-                    # repr of a Python float round-trips exactly
-                    writer.writerow(
-                        [task.name, cand, attr, *(repr(float(s)) for s in scores)]
-                    )
-        return
-    if format == "json":
+    if path.suffix.lower() == ".json":
         doc = {
             "ai_names": list(table.ai_names),
             "tasks": [
@@ -217,50 +202,45 @@ def save_scores(table: ScoreTable, path: str | Path, format: str | None = None) 
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         return
-    raise DataValidationError(f"unknown score-table format {format!r}")
-
-
-def _standardized_columns(matrix: np.ndarray) -> np.ndarray:
-    sd = matrix.std(axis=0)
-    if np.any(sd == 0.0):
-        raise DomainError("constant scorer column; cannot standardize")
-    return (matrix - matrix.mean(axis=0)) / sd
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["task", "candidate_id", "attr", *table.ai_names])
+        for task in table.tasks:
+            for cand, attr, scores in zip(task.candidate_ids, task.attrs, task.matrix):
+                # repr of a Python float round-trips exactly
+                writer.writerow(
+                    [task.name, cand, attr, *(repr(float(s)) for s in scores)]
+                )
 
 
 def optimal_weights(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leading-eigenvector weights and the weighted proxy truth.
 
-    Weights are proportional to the first principal eigenvector of the
-    inter-scorer correlation matrix (power iteration, tolerance 1e-10),
-    normalized to sum 1, then applied to the raw columns. For a
-    correlation matrix with all entries positive the eigenvector is
-    entrywise positive (Perron-Frobenius), making the weights a proper
-    mixture.
+    Weights are proportional to the eigenvector of the largest eigenvalue
+    of the inter-scorer correlation matrix (``np.linalg.eigh``),
+    normalized to sum 1, then applied to the raw columns. When every
+    correlation is positive the eigenvector is entrywise positive
+    (Perron-Frobenius) and the weights are a proper mixture; a column
+    that would get a negative weight raises DomainError instead.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise DomainError("need a 2-d matrix with at least 2 columns")
-    std = _standardized_columns(matrix)
+    std = standardize(matrix)
     corr = (std.T @ std) / std.shape[0]
 
-    n = corr.shape[1]
-    vec = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(10000):
-        nxt = corr @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            raise NumericalError("power iteration collapsed to zero")
-        nxt /= norm
-        if np.max(np.abs(nxt - vec)) < 1e-10:
-            vec = nxt
-            break
-        vec = nxt
-    else:
-        raise NumericalError("power iteration did not converge")
-
+    _, vectors = np.linalg.eigh(corr)  # eigenvalues ascending
+    vec = vectors[:, -1]
     if vec.sum() < 0:
         vec = -vec
     weights = vec / vec.sum()
+    if np.any(weights < 0):
+        col = int(np.argmin(weights))
+        raise DomainError(
+            f"scorer column {col} correlates negatively with the others: "
+            f"its leading-eigenvector weight is {weights[col]:.3g}, so the "
+            "weights are not a mixture"
+        )
     proxy = matrix @ weights
     return weights, proxy
 
@@ -433,10 +413,7 @@ def qq_data(scores: np.ndarray) -> np.ndarray:
     m = scores.size
     if m < 3:
         raise DomainError("need at least 3 values for a QQ plot")
-    sd = scores.std()
-    if sd == 0.0:
-        raise DomainError("constant sample has no QQ representation")
-    sample = np.sort((scores - scores.mean()) / sd)
+    sample = np.sort(standardize(scores))
     theo = std_normal_quantile((np.arange(1, m + 1) - 0.5) / m)
     return np.column_stack([theo, sample])
 

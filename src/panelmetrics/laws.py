@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -98,14 +100,19 @@ def efficiency_exponent(q: float, rho: float, clipped: bool = True) -> float:
     return q_star + 0.8 * (1.0 - rho)
 
 
-def effective_rho(n: int, rho: float, b: float) -> float:
-    """Panel-of-n effective correlation rho*n**b / (1 + (n**b - 1)*rho)."""
+def effective_rho(n: int | np.ndarray, rho: float, b: float) -> float | np.ndarray:
+    """Panel-of-n effective correlation rho*n**b / (1 + (n**b - 1)*rho).
+
+    n is one size or an array of sizes. An int takes Python's float pow
+    and an array takes numpy's; the two can differ in the last bit, so
+    the power stays n**b on whatever is passed.
+    """
     rho = _check_rho(rho)
-    if n < 1:
+    if np.any(np.asarray(n) < 1):
         raise DomainError("n must be at least 1")
     if not b > 0:
         raise DomainError("b must be positive")
-    nb = float(n) ** b
+    nb = n**b
     return rho * nb / (1.0 + (nb - 1.0) * rho)
 
 

@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .laws import effective_rho
 from .precision import top_count, top_set
-from .streams import SeededStream, TailTransform, superstar_transform
+from .streams import SeededStream, TailTransform, standardize, superstar_transform
 
 __all__ = [
     "UniverseConfig",
@@ -164,10 +165,7 @@ def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> Universe:
     raw = np.sqrt(r)[None, :] * z_common[:, None] + np.sqrt(1.0 - r)[None, :] * z_own
     raw = superstar_transform(raw, cfg.tail)
 
-    sd = raw.std(axis=0)
-    if np.any(sd == 0.0):
-        raise DomainError("degenerate universe: a scorer column is constant")
-    scores = (raw - raw.mean(axis=0)) / sd * s[None, :] + cfg.t_mean
+    scores = standardize(raw) * s[None, :] + cfg.t_mean
 
     y_true = scores.mean(axis=1)
     return Universe(
@@ -239,11 +237,6 @@ def panel_precision_scan(
     )
 
 
-def _panel_law(k: np.ndarray, b: float, rho: float, q: float) -> np.ndarray:
-    nb = k**b
-    return (nb * rho + q * (1.0 - rho)) / (1.0 + (nb - 1.0) * rho)
-
-
 def fit_exponent_b(
     sizes: Sequence[int],
     precisions: Sequence[float],
@@ -264,7 +257,7 @@ def fit_exponent_b(
         raise DomainError("rho must lie strictly between 0 and 1")
 
     def sse(b: float) -> float:
-        resid = p - _panel_law(k, b, rho, q)
+        resid = p - (q + (1.0 - q) * effective_rho(k, rho, b))
         return float(resid @ resid)
 
     lo, hi = _B_BOUNDS

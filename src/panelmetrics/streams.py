@@ -160,9 +160,12 @@ def superstar_transform(z: np.ndarray, t: TailTransform) -> np.ndarray:
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
-    """Center and scale to sample mean 0, sd 1 (population divisor)."""
+    """Center and scale each column to mean 0, sd 1 (population divisor).
+
+    Works column-wise on a 2-d array; a 1-d array is one column.
+    """
     x = np.asarray(x, dtype=float)
-    sd = float(x.std())
-    if sd == 0.0:
-        raise DomainError("cannot standardize a constant vector")
-    return (x - x.mean()) / sd
+    sd = x.std(axis=0)
+    if np.any(sd == 0.0):
+        raise DomainError("cannot standardize a constant column")
+    return (x - x.mean(axis=0)) / sd

@@ -7,6 +7,21 @@ from panelmetrics.streams import SeededStream
 
 
 @pytest.fixture
+def negative_scorer_matrix():
+    """500 x 4 scores: three scorers load on a common factor and the
+    last one loads on it negatively, so its leading-eigenvector weight
+    comes out near -0.3."""
+    g = SeededStream(7, 77).generator()
+    common = g.standard_normal(500)
+    cols = [
+        math.sqrt(0.6) * common + math.sqrt(0.4) * g.standard_normal(500)
+        for _ in range(3)
+    ]
+    cols.append(-0.5 * common + g.standard_normal(500))
+    return 7.0 + np.column_stack(cols)
+
+
+@pytest.fixture
 def equicorr_matrix():
     """Factory for m x n score matrices with equal pairwise correlation.
 

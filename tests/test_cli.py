@@ -79,6 +79,14 @@ class TestFormula:
         assert run["config"]["command"] == "formula"
         assert "tool_version" in run
 
+    def test_stdout_table_matches_csv_file(self, capsys, tmp_path):
+        out = tmp_path / "res"
+        rc = main(
+            ["formula", "--q", "0.2", "--rho", "0.55", "--n", "1..12", "--out", str(out)]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.encode() == (out / "formula.csv").read_bytes()
+
     def test_invalid_q_exits_2(self, capsys):
         assert main(["formula", "--q", "1.5", "--rho", "0.5"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -346,6 +354,28 @@ class TestAnalyze:
         rc = main(["analyze", str(bad)])
         assert rc == 4
         assert "bad.csv:2" in capsys.readouterr().err
+
+    def test_negatively_correlated_scorer_exits_2(
+        self, capsys, tmp_path, negative_scorer_matrix
+    ):
+        m, n_ai = negative_scorer_matrix.shape
+        src = tmp_path / "negative.csv"
+        save_scores(
+            ScoreTable(
+                ai_names=tuple(f"ai_{i + 1}" for i in range(n_ai)),
+                tasks=(
+                    TaskScores(
+                        name="probe",
+                        candidate_ids=tuple(f"c{j}" for j in range(m)),
+                        attrs=("",) * m,
+                        matrix=negative_scorer_matrix,
+                    ),
+                ),
+            ),
+            src,
+        )
+        assert main(["analyze", str(src)]) == 2
+        assert "error: scorer column 3 correlates negatively" in capsys.readouterr().err
 
     def test_empty_file_exits_4(self, tmp_path):
         empty = tmp_path / "empty.csv"

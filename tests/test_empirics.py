@@ -146,6 +146,10 @@ class TestOptimalWeights:
         with pytest.raises(DomainError):
             optimal_weights(np.column_stack([np.ones(10), np.arange(10.0)]))
 
+    def test_negatively_correlated_column_rejected(self, negative_scorer_matrix):
+        with pytest.raises(DomainError, match="scorer column 3 correlates negatively"):
+            optimal_weights(negative_scorer_matrix)
+
 
 class TestPairwiseCorrelations:
     def test_identical_columns(self):

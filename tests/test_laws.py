@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -68,6 +69,18 @@ class TestEffectiveRho:
     def test_matches_spearman_brown_at_b_one(self):
         for n in (1, 2, 5, 12):
             assert effective_rho(n, 0.43, 1.0) == pytest.approx(spearman_brown(n, 0.43))
+
+    def test_array_of_sizes_matches_scalar_calls(self):
+        n = np.arange(1, 201)
+        for rho, b in ((0.3, 0.45), (0.55, 0.7), (0.9, 1.3)):
+            vals = effective_rho(n, rho, b)
+            expected = np.array([effective_rho(int(k), rho, b) for k in n])
+            # numpy's pow and Python's may differ in the last bit of n**b
+            assert np.all(np.abs(vals - expected) <= 8 * np.spacing(expected))
+
+    def test_array_containing_zero_rejected(self):
+        with pytest.raises(DomainError):
+            effective_rho(np.array([1, 0, 3]), 0.5, 0.7)
 
     @given(rho=st.floats(min_value=0.01, max_value=1.0), n=st.integers(1, 200))
     def test_bounded_between_rho_and_one(self, rho, n):

@@ -167,3 +167,16 @@ class TestStandardize:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             standardize(np.full(5, 3.3))
+
+    def test_columns_standardized_separately(self):
+        g = SeededStream(12).generator()
+        x = g.standard_normal((200, 3)) * [1.0, 5.0, 0.1] + [0.0, 7.0, -3.0]
+        out = standardize(x)
+        assert out.shape == x.shape
+        assert out.mean(axis=0) == pytest.approx(np.zeros(3), abs=1e-12)
+        assert out.std(axis=0) == pytest.approx(np.ones(3))
+
+    def test_one_constant_column_rejected(self):
+        x = np.column_stack([np.arange(5.0), np.full(5, 3.3), np.arange(5.0) ** 2])
+        with pytest.raises(DomainError):
+            standardize(x)
