@@ -28,7 +28,6 @@ from .emit import (
     svg_line_plot,
     write_csv,
     write_json,
-    write_run_config,
 )
 from .empirics import build_report, load_scores
 from .errors import DataValidationError, DomainError, PanelMetricsError
@@ -166,25 +165,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare_out(args) -> Path | None:
+def _write_outputs(args, files: dict, **config) -> None:
+    """Write the files whose suffix is in --format, then ``run.json``.
+
+    ``files`` maps a file name to its payload: ``(header, rows)`` for a
+    ``.csv`` name, the document for ``.json``, and the keyword arguments
+    of ``svg_line_plot`` for ``.svg``. Without --out nothing is written.
+    """
     if args.out is None:
-        return None
+        return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(out: Path | None, args, **extra) -> None:
-    if out is None:
-        return
+    for name, payload in files.items():
+        suffix = Path(name).suffix[1:]
+        if suffix not in args.format:
+            continue
+        if suffix == "csv":
+            write_csv(out / name, *payload)
+        elif suffix == "json":
+            write_json(out / name, payload)
+        else:
+            svg_line_plot(out / name, **payload)
     config = {
         "command": args.command,
         "seed": args.seed,
         "threads": args.threads,
         "format": list(args.format),
-        **extra,
+        **config,
     }
-    write_run_config(out, config, __version__)
+    write_json(out / "run.json", {"tool_version": __version__, "config": config})
 
 
 def _regime_warning(q: float, rho: float) -> str | None:
@@ -215,47 +224,45 @@ def cmd_formula(args) -> int:
     header = ("n", "b", "rho_n", "precision")
     print(csv_text(header, rows), end="")
 
-    out = _prepare_out(args)
-    if out is not None:
-        doc = {
-            "q": args.q,
-            "rho": args.rho,
-            "clipped": clipped,
-            "regime_warning": warn,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        if "csv" in args.format:
-            write_csv(out / "formula.csv", header, rows)
-        if "json" in args.format:
-            write_json(out / "formula.json", doc)
-        _echo_config(out, args, q=args.q, rho=args.rho, n=args.n, clipped=clipped)
+    doc = {
+        "q": args.q,
+        "rho": args.rho,
+        "clipped": clipped,
+        "regime_warning": warn,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    _write_outputs(
+        args,
+        {"formula.csv": (header, rows), "formula.json": doc},
+        q=args.q,
+        rho=args.rho,
+        n=args.n,
+        clipped=clipped,
+    )
     return 0
 
 
 def cmd_plan(args) -> int:
     n = required_panel_size(args.q, args.rho, args.target, args.n_max)
-    out = _prepare_out(args)
     achieved = (
         None if n is None else panel_precision(PanelQuery(q=args.q, rho=args.rho, n=n))
     )
-    if out is not None:
-        doc = {
-            "q": args.q,
-            "rho": args.rho,
-            "target": args.target,
-            "n_max": args.n_max,
-            "required_n": n,
-            "achieved_precision": achieved,
-        }
-        if "json" in args.format:
-            write_json(out / "plan.json", doc)
-        if "csv" in args.format:
-            write_csv(
-                out / "plan.csv",
-                ("q", "rho", "target", "n_max", "required_n", "achieved_precision"),
-                [(args.q, args.rho, args.target, args.n_max, n, achieved)],
-            )
-        _echo_config(out, args, q=args.q, rho=args.rho, target=args.target, n_max=args.n_max)
+    doc = {
+        "q": args.q,
+        "rho": args.rho,
+        "target": args.target,
+        "n_max": args.n_max,
+        "required_n": n,
+        "achieved_precision": achieved,
+    }
+    _write_outputs(
+        args,
+        {"plan.json": doc, "plan.csv": (tuple(doc), [tuple(doc.values())])},
+        q=args.q,
+        rho=args.rho,
+        target=args.target,
+        n_max=args.n_max,
+    )
     if n is None:
         print(
             f"target {fmt6(args.target)} unachievable within n <= {args.n_max} "
@@ -335,79 +342,63 @@ def cmd_curves(args) -> int:
         f"t={fmt6(anchors.t_limit)} heavy={fmt6(anchors.heavy_tail_estimate)}"
     )
 
-    out = _prepare_out(args)
-    if out is not None:
-        header = ("q", *(f"p_{kind}" for kind in _CURVE_DISTRIBUTIONS), "reference")
-        rows = [
-            (grid[i], *(curves[kind][i] for kind in _CURVE_DISTRIBUTIONS), ref[i])
-            for i in range(grid.size)
-        ]
-        if "csv" in args.format:
-            write_csv(out / "curves.csv", header, rows)
-            write_csv(
-                out / "anchors.csv",
-                ("q_anchor", "normal_limit", "t_limit", "heavy_tail_estimate", "p_avg_02"),
-                [
-                    (
-                        anchors.q_anchor,
-                        anchors.normal_limit,
-                        anchors.t_limit,
-                        anchors.heavy_tail_estimate,
-                        anchors.p_avg_02,
-                    )
-                ],
-            )
-        if "json" in args.format:
-            write_json(
-                out / "curves.json",
-                {
-                    "m": args.m,
-                    "rho": args.rho,
-                    "trials": args.trials,
-                    "t_dof": args.t_dof,
-                    "q_grid": grid,
-                    "curves": curves,
-                    "reference": ref,
-                    "anchors": anchors,
-                },
-            )
-        if "svg" in args.format:
-            series = [
-                PlotSeries(kind, grid, curves[kind]) for kind in _CURVE_DISTRIBUTIONS
-            ]
-            series.append(PlotSeries("reference", grid, ref))
-            series.append(
-                PlotSeries(
-                    "anchors",
-                    np.full(3, anchors.q_anchor),
-                    np.array(
-                        [
-                            anchors.normal_limit,
-                            anchors.t_limit,
-                            anchors.heavy_tail_estimate,
-                        ]
-                    ),
-                    kind="points",
-                )
-            )
-            svg_line_plot(
-                out / "curves.svg",
-                series,
-                title=f"P1(q) at rho={fmt6(args.rho)}, m={args.m}",
-                xlabel="q (log scale)",
-                ylabel="precision",
-                xlog=True,
-            )
-        _echo_config(
-            out,
-            args,
-            m=args.m,
-            rho=args.rho,
-            trials=args.trials,
-            t_dof=args.t_dof,
-            points=args.points,
-            anchor_trials=args.anchor_trials,
+    header = ("q", *(f"p_{kind}" for kind in _CURVE_DISTRIBUTIONS), "reference")
+    rows = [
+        (grid[i], *(curves[kind][i] for kind in _CURVE_DISTRIBUTIONS), ref[i])
+        for i in range(grid.size)
+    ]
+    series = [PlotSeries(kind, grid, curves[kind]) for kind in _CURVE_DISTRIBUTIONS]
+    series.append(PlotSeries("reference", grid, ref))
+    series.append(
+        PlotSeries(
+            "anchors",
+            np.full(3, anchors.q_anchor),
+            np.array([anchors.normal_limit, anchors.t_limit, anchors.heavy_tail_estimate]),
+            kind="points",
         )
+    )
+    files = {
+        "curves.csv": (header, rows),
+        "anchors.csv": (
+            ("q_anchor", "normal_limit", "t_limit", "heavy_tail_estimate", "p_avg_02"),
+            [
+                (
+                    anchors.q_anchor,
+                    anchors.normal_limit,
+                    anchors.t_limit,
+                    anchors.heavy_tail_estimate,
+                    anchors.p_avg_02,
+                )
+            ],
+        ),
+        "curves.json": {
+            "m": args.m,
+            "rho": args.rho,
+            "trials": args.trials,
+            "t_dof": args.t_dof,
+            "q_grid": grid,
+            "curves": curves,
+            "reference": ref,
+            "anchors": anchors,
+        },
+        "curves.svg": dict(
+            series=series,
+            title=f"P1(q) at rho={fmt6(args.rho)}, m={args.m}",
+            xlabel="q (log scale)",
+            ylabel="precision",
+            xlog=True,
+        ),
+    }
+    _write_outputs(
+        args,
+        files,
+        m=args.m,
+        rho=args.rho,
+        trials=args.trials,
+        t_dof=args.t_dof,
+        points=args.points,
+        anchor_trials=args.anchor_trials,
+    )
     return 0
 
 
@@ -451,37 +442,31 @@ def cmd_scaling(args) -> int:
             f"(R^2={fmt6(reg.r_squared)})"
         )
 
-    out = _prepare_out(args)
-    if out is not None:
-        if "csv" in args.format:
-            write_csv(out / "b_grid.csv", grid_header, grid_rows)
-            write_csv(
-                out / "regression.csv",
-                ("q", "slope", "intercept", "r_squared"),
-                [(r.q, r.slope, r.intercept, r.r_squared) for r in regressions],
-            )
-        if "json" in args.format:
-            write_json(
-                out / "b_grid.json",
-                {
-                    "preset": args.preset,
-                    "rows": rows,
-                    "regressions": regressions,
-                    "regression_errors": regression_errors,
-                },
-            )
-        _echo_config(
-            out,
-            args,
-            q=args.q,
-            rho=args.rho,
-            preset=args.preset,
-            boost=args.boost,
-            sizes=list(sizes),
-            samples_per_size=samples,
-            n_ais=preset.n_ais,
-            m_candidates=preset.m_candidates,
-        )
+    files = {
+        "b_grid.csv": (grid_header, grid_rows),
+        "regression.csv": (
+            ("q", "slope", "intercept", "r_squared"),
+            [(r.q, r.slope, r.intercept, r.r_squared) for r in regressions],
+        ),
+        "b_grid.json": {
+            "preset": args.preset,
+            "rows": rows,
+            "regressions": regressions,
+            "regression_errors": regression_errors,
+        },
+    }
+    _write_outputs(
+        args,
+        files,
+        q=args.q,
+        rho=args.rho,
+        preset=args.preset,
+        boost=args.boost,
+        sizes=list(sizes),
+        samples_per_size=samples,
+        n_ais=preset.n_ais,
+        m_candidates=preset.m_candidates,
+    )
     return 0
 
 
@@ -512,94 +497,83 @@ def cmd_analyze(args) -> int:
             f"variance-quality ({vq.truth_mode}): r={fmt6(vq.r)} p={fmt6(vq.p_value)}"
         )
 
-    out = _prepare_out(args)
-    if out is not None:
-        if "json" in args.format:
-            write_json(out / "report.json", report)
-        if "csv" in args.format:
-            write_csv(
-                out / "tasks.csv",
-                ("task", "rho_bar", "intercept", "intercept_vs_rho_pct"),
-                [
-                    (t.name, t.rho_bar, t.intercept, t.intercept_vs_rho_pct)
-                    for t in report.tasks
-                ],
-            )
-            write_csv(
-                out / "subsets.csv",
-                ("task", "size", "n_subsets", "avg_intercept", "improvement_pct"),
-                [
-                    (t.name, r.size, r.n_subsets, r.avg_intercept, r.improvement_pct)
-                    for t in report.tasks
-                    for r in t.subset_rows
-                ],
-            )
-            write_csv(
-                out / "spearman_brown.csv",
+    # The table rows are generators, consumed only when their file is
+    # written, so no table is held in memory while report.json is built.
+    files = {
+        "report.json": report,
+        "tasks.csv": (
+            ("task", "rho_bar", "intercept", "intercept_vs_rho_pct"),
+            (
+                (t.name, t.rho_bar, t.intercept, t.intercept_vs_rho_pct)
+                for t in report.tasks
+            ),
+        ),
+        "subsets.csv": (
+            ("task", "size", "n_subsets", "avg_intercept", "improvement_pct"),
+            (
+                (t.name, r.size, r.n_subsets, r.avg_intercept, r.improvement_pct)
+                for t in report.tasks
+                for r in t.subset_rows
+            ),
+        ),
+        "spearman_brown.csv": (
+            (
+                "task",
+                "size",
+                "observed",
+                "predicted",
+                "pct_pred_vs_obs",
+                "pct_obs_vs_pred",
+            ),
+            (
                 (
-                    "task",
-                    "size",
-                    "observed",
-                    "predicted",
-                    "pct_pred_vs_obs",
-                    "pct_obs_vs_pred",
-                ),
-                [
-                    (
-                        t.name,
-                        r.size,
-                        r.observed,
-                        r.predicted,
-                        r.pct_pred_vs_obs,
-                        r.pct_obs_vs_pred,
-                    )
-                    for t in report.tasks
-                    for r in t.sb_rows
-                ],
-            )
-            write_csv(
-                out / "curves.csv",
-                ("task", "q", "p_avg", *(f"p_{ai}" for ai in report.ai_names)),
-                [
-                    (
-                        t.name,
-                        t.q_grid[i],
-                        t.average_values[i],
-                        *(t.per_ai_values[j, i] for j in range(len(report.ai_names))),
-                    )
-                    for t in report.tasks
-                    for i in range(t.q_grid.size)
-                ],
-            )
-            write_csv(
-                out / "qq.csv",
-                ("theoretical", "sample"),
-                [tuple(pair) for pair in report.qq_pairs],
-            )
-            write_csv(
-                out / "variance_quality.csv",
-                ("truth_mode", "task", "ai", "variance", "corr_with_truth"),
-                [
-                    (vq.truth_mode, r.task, r.ai, r.variance, r.corr_with_truth)
-                    for vq in (report.variance_weighted, report.variance_unweighted)
-                    for r in vq.rows
-                ],
-            )
-        if "svg" in args.format:
-            for t in report.tasks:
-                series = [
-                    PlotSeries(ai, t.q_grid, t.per_ai_values[j])
-                    for j, ai in enumerate(report.ai_names)
-                ]
-                series.append(PlotSeries("average", t.q_grid, t.average_values))
-                svg_line_plot(
-                    out / f"curves_{t.name}.svg",
-                    series,
-                    title=f"Precision curves: {t.name}",
-                    xlabel="q",
-                    ylabel="precision",
+                    t.name,
+                    r.size,
+                    r.observed,
+                    r.predicted,
+                    r.pct_pred_vs_obs,
+                    r.pct_obs_vs_pred,
                 )
-        _echo_config(out, args, input=str(args.input), q_points=args.q_points)
+                for t in report.tasks
+                for r in t.sb_rows
+            ),
+        ),
+        "curves.csv": (
+            ("task", "q", "p_avg", *(f"p_{ai}" for ai in report.ai_names)),
+            (
+                (
+                    t.name,
+                    t.q_grid[i],
+                    t.average_values[i],
+                    *(t.per_ai_values[j, i] for j in range(len(report.ai_names))),
+                )
+                for t in report.tasks
+                for i in range(t.q_grid.size)
+            ),
+        ),
+        "qq.csv": (("theoretical", "sample"), report.qq_pairs),
+        "variance_quality.csv": (
+            ("truth_mode", "task", "ai", "variance", "corr_with_truth"),
+            (
+                (vq.truth_mode, r.task, r.ai, r.variance, r.corr_with_truth)
+                for vq in (report.variance_weighted, report.variance_unweighted)
+                for r in vq.rows
+            ),
+        ),
+    }
+    for t in report.tasks:
+        series = [
+            PlotSeries(ai, t.q_grid, t.per_ai_values[j])
+            for j, ai in enumerate(report.ai_names)
+        ]
+        series.append(PlotSeries("average", t.q_grid, t.average_values))
+        files[f"curves_{t.name}.svg"] = dict(
+            series=series,
+            title=f"Precision curves: {t.name}",
+            xlabel="q",
+            ylabel="precision",
+        )
+    _write_outputs(args, files, input=str(args.input), q_points=args.q_points)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Result emission: CSV, JSON, run config echo, and a small SVG plotter.
+"""Result emission: CSV, JSON, and a small SVG plotter.
 
 The data files are the contract. CSV carries 6 significant digits for
 eyeballing and diffing; JSON keeps full double precision. The SVG
@@ -7,10 +7,12 @@ deliberately plain: polylines, two axes, a text legend.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -20,7 +22,6 @@ __all__ = [
     "csv_text",
     "write_csv",
     "write_json",
-    "write_run_config",
     "PlotSeries",
     "svg_line_plot",
 ]
@@ -39,14 +40,20 @@ def fmt6(value: Any) -> str:
     return str(value)
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """The CSV table as text: a header line, then one line per row."""
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt6(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_text(header: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
+    """The CSV table as text: a header line, then one line per row.
+
+    Cells holding a comma, a quote or a line break are quoted, so every
+    row parses back to the header's width.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt6(cell) for cell in row] for row in rows)
+    return buf.getvalue()
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
     Path(path).write_text(csv_text(header, rows))
 
 
@@ -72,12 +79,6 @@ def to_jsonable(obj: Any) -> Any:
 
 def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json.dumps(to_jsonable(obj), indent=2) + "\n")
-
-
-def write_run_config(out_dir: str | Path, config: dict, version: str) -> None:
-    """Echo the fully resolved run configuration next to the outputs."""
-    doc = {"tool_version": version, "config": to_jsonable(config)}
-    write_json(Path(out_dir) / "run.json", doc)
 
 
 @dataclasses.dataclass(frozen=True)

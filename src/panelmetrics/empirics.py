@@ -73,6 +73,11 @@ def _validate_table(table: ScoreTable) -> ScoreTable:
     if not table.tasks:
         raise DataValidationError("no data rows found")
     for task in table.tasks:
+        if "/" in task.name or "\0" in task.name:
+            raise DataValidationError(
+                f"task {task.name!r}: a task name cannot contain '/' or NUL, "
+                "because it becomes part of an output file name"
+            )
         mat = task.matrix
         if mat.ndim != 2 or mat.shape[1] != len(table.ai_names):
             raise DataValidationError(
@@ -97,10 +102,16 @@ def load_scores(path: str | Path) -> ScoreTable:
         return _load_json(path) if path.suffix.lower() == ".json" else _load_csv(path)
     except OSError as exc:
         raise DataValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}: unreadable CSV: {exc}") from None
 
 
 def _load_csv(path: Path) -> ScoreTable:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -152,7 +163,7 @@ def _load_csv(path: Path) -> ScoreTable:
 
 
 def _load_json(path: Path) -> ScoreTable:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -198,11 +209,11 @@ def save_scores(table: ScoreTable, path: str | Path) -> None:
                 for task in table.tasks
             ],
         }
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         return
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "candidate_id", "attr", *table.ai_names])
         for task in table.tasks:

@@ -107,6 +107,8 @@ class PrecisionCurve:
         vals = np.asarray(self.values, dtype=float)
         if q.shape != vals.shape or q.ndim != 1:
             raise DomainError("q_grid and values must be 1-d and equal length")
+        if q.size == 0:
+            raise DomainError("q_grid must not be empty")
         if not (np.all(np.diff(q) > 0) and 0.0 < q[0] and q[-1] <= 1.0):
             raise DomainError("q_grid must be strictly increasing within (0, 1]")
         object.__setattr__(self, "q_grid", q)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -277,7 +278,7 @@ class TestScaling:
         assert len(doc["regression_errors"]) == 1
 
 
-def write_fixture_table(path, seed=90, m=40, n_ai=4):
+def write_fixture_table(path, seed=90, m=40, n_ai=4, names=("alpha", "beta")):
     from panelmetrics.streams import SeededStream
 
     g = SeededStream(seed, 31).generator()
@@ -297,7 +298,7 @@ def write_fixture_table(path, seed=90, m=40, n_ai=4):
 
     table = ScoreTable(
         ai_names=tuple(f"ai_{i + 1}" for i in range(n_ai)),
-        tasks=(task("alpha"), task("beta")),
+        tasks=tuple(task(name) for name in names),
     )
     save_scores(table, path)
     return table
@@ -381,3 +382,93 @@ class TestAnalyze:
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         assert main(["analyze", str(empty)]) == 4
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("latin1.csv", b"task,candidate_id,attr,ai_1,ai_2\ncaf\xe9,c0,,1.0,2.0\n"),
+            ("utf16.json", b"\xff\xfe" + '{"ai_names": []}'.encode("utf-16-le")),
+            (
+                "wide.csv",
+                b"task,candidate_id,attr,ai_1,ai_2\na," + b"x" * 200_000 + b",,1.0,2.0\n",
+            ),
+        ],
+        ids=["latin1", "utf16", "wide-field"],
+    )
+    def test_unreadable_table_exits_4(self, capsys, tmp_path, name, content):
+        src = tmp_path / name
+        src.write_bytes(content)
+        assert main(["analyze", str(src)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "task_name, suffix", [("a/b", ".csv"), ("a\0b", ".json")], ids=["slash", "nul"]
+    )
+    def test_task_name_unusable_in_file_name_exits_4(
+        self, capsys, tmp_path, task_name, suffix
+    ):
+        src = tmp_path / f"scores{suffix}"
+        write_fixture_table(src, names=(task_name, "beta"))
+        out = tmp_path / "report"
+        rc = main(["analyze", str(src), "--out", str(out), "--format", "csv,json,svg"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(task_name) in err
+        assert not out.exists()
+
+    def test_task_name_with_comma_stays_one_cell(self, tmp_path):
+        src = tmp_path / "scores.csv"
+        write_fixture_table(src, names=("x,y", "beta"))
+        out = tmp_path / "report"
+        assert main(["analyze", str(src), "--out", str(out), "--format", "csv"]) == 0
+        with open(out / "tasks.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == ["x,y", "beta"]
+
+
+# The files of the README's "Output files" table, per command.
+OUTPUT_FILES = {
+    "formula": ("formula.csv", "formula.json"),
+    "plan": ("plan.csv", "plan.json"),
+    "curves": ("curves.csv", "anchors.csv", "curves.json", "curves.svg"),
+    "scaling": ("b_grid.csv", "regression.csv", "b_grid.json"),
+    "analyze": (
+        "report.json",
+        "tasks.csv",
+        "subsets.csv",
+        "spearman_brown.csv",
+        "curves.csv",
+        "qq.csv",
+        "variance_quality.csv",
+        "curves_alpha.svg",
+        "curves_beta.svg",
+    ),
+}
+
+SMALL_RUNS = {
+    "formula": ["formula", "--q", "0.2", "--rho", "0.5", "--n", "1..3"],
+    "plan": ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75"],
+    "curves": [
+        "curves", "--m", "50", "--trials", "2", "--points", "5", "--anchor-trials", "200",
+    ],
+    "scaling": ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3"],
+    "analyze": ["analyze"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_FILES))
+def test_format_selects_files_by_suffix(tmp_path, command, fmt):
+    argv = list(SMALL_RUNS[command])
+    if command == "analyze":
+        src = tmp_path / "scores.csv"
+        write_fixture_table(src)
+        argv.append(str(src))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--format", fmt]) == 0
+    expected = {name for name in OUTPUT_FILES[command] if name.endswith(f".{fmt}")}
+    assert {p.name for p in out.iterdir()} == expected | {"run.json"}

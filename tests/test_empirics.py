@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,13 @@ class TestLoadSaveScores:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):
             load_scores(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("name", ["a/b", "a\0b"], ids=["slash", "nul"])
+    def test_task_name_unusable_in_file_name(self, tmp_path, name):
+        path = tmp_path / "scores.json"
+        save_scores(make_table(np.arange(12.0).reshape(6, 2), name=name), path)
+        with pytest.raises(DataValidationError, match=re.escape(repr(name))):
+            load_scores(path)
 
 
 class TestOptimalWeights:

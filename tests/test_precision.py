@@ -215,3 +215,5 @@ class TestPrecisionCurve:
             PrecisionCurve(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
             PrecisionCurve(np.array([0.2, 0.5]), np.array([1.0]))
+        with pytest.raises(DomainError):
+            precision_curve(np.arange(5.0), np.arange(5.0), [])
