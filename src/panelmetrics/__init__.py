@@ -2,7 +2,7 @@
 
 The library splits into closed-form laws (:mod:`panelmetrics.laws`),
 ranking metrics (:mod:`panelmetrics.precision`), endpoint anchors
-(:mod:`panelmetrics.anchors`), the panel-scaling simulator
+(:mod:`panelmetrics.anchors`), the curve and panel-scaling simulators
 (:mod:`panelmetrics.simulate`), and real-data analysis
 (:mod:`panelmetrics.empirics`), with deterministic randomness supplied
 by :mod:`panelmetrics.streams`. The ``panelmetrics`` command drives all

@@ -38,15 +38,15 @@ from .laws import (
     panel_precision,
     required_panel_size,
 )
-from .precision import log_q_grid, top_count
-from .simulate import PRESETS, UniverseConfig, b_grid_scan, regress_b_on_rho
-from .streams import (
-    DistributionSpec,
-    SeededStream,
-    TailTransform,
-    add_calibrated_noise,
-    sample_signal,
+from .precision import log_q_grid
+from .simulate import (
+    PRESETS,
+    UniverseConfig,
+    b_grid_scan,
+    regress_b_on_rho,
+    simulate_distribution_curve,
 )
+from .streams import DistributionSpec, SeededStream, TailTransform
 
 _CURVE_DISTRIBUTIONS = ("normal", "lognormal", "pareto", "student_t")
 
@@ -276,36 +276,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _simulate_distribution_curve(
-    spec: DistributionSpec,
-    m: int,
-    rho: float,
-    trials: int,
-    q_grid: np.ndarray,
-    stream: SeededStream,
-) -> np.ndarray:
-    """Average precision over the grid for one signal distribution.
-
-    Per trial: draw the signal, add calibrated noise, rank both, and
-    count top-k overlaps for every grid point in one vectorized sweep.
-    """
-    ks = np.array([top_count(q, m) for q in q_grid])
-    signal_root = stream.derive(0)
-    noise_root = stream.derive(1)
-    totals = np.zeros(q_grid.size)
-    for trial in range(trials):
-        nu = sample_signal(spec, m, signal_root.derive(trial))
-        x = add_calibrated_noise(nu, rho, noise_root.derive(trial))
-        rank_nu = np.empty(m, dtype=np.int64)
-        rank_nu[np.argsort(-nu, kind="stable")] = np.arange(1, m + 1)
-        rank_x = np.empty(m, dtype=np.int64)
-        rank_x[np.argsort(-x, kind="stable")] = np.arange(1, m + 1)
-        in_nu = rank_nu[None, :] <= ks[:, None]
-        in_x = rank_x[None, :] <= ks[:, None]
-        totals += (in_nu & in_x).sum(axis=1) / ks
-    return totals / trials
-
-
 def cmd_curves(args) -> int:
     if args.m < 10:
         raise DomainError("m must be at least 10")
@@ -319,7 +289,7 @@ def cmd_curves(args) -> int:
     curves = {}
     for index, kind in enumerate(_CURVE_DISTRIBUTIONS):
         spec = DistributionSpec(kind, t_dof=args.t_dof)
-        curves[kind] = _simulate_distribution_curve(
+        curves[kind] = simulate_distribution_curve(
             spec, args.m, args.rho, args.trials, grid, root.derive(index)
         )
 

@@ -72,7 +72,14 @@ def _validate_table(table: ScoreTable) -> ScoreTable:
         raise DataValidationError("need at least 2 scorer columns")
     if not table.tasks:
         raise DataValidationError("no data rows found")
+    seen = set()
     for task in table.tasks:
+        if task.name in seen:
+            raise DataValidationError(
+                f"task {task.name!r}: two tasks have this name, so their "
+                "output rows and files would collide"
+            )
+        seen.add(task.name)
         if "/" in task.name or "\0" in task.name:
             raise DataValidationError(
                 f"task {task.name!r}: a task name cannot contain '/' or NUL, "
@@ -445,24 +452,25 @@ class VarianceQualityResult:
     p_value: float
 
 
-def variance_quality(table: ScoreTable, truth_mode: str = "weighted") -> VarianceQualityResult:
+def variance_quality(
+    table: ScoreTable, truths: Sequence[np.ndarray], truth_mode: str
+) -> VarianceQualityResult:
     """Does spreading scores out go with being right?
 
     Per (task, scorer): the column's score variance and its correlation
-    with that task's truth proxy ("weighted" = optimal-weight proxy,
-    "unweighted" = plain column mean). Across all rows, the global
+    with that task's truth proxy, ``truths[t]`` for task t. ``truth_mode``
+    names the proxy: "weighted" for the optimal-weight proxy,
+    "unweighted" for the plain column mean. Across all rows, the global
     Pearson r between variance and correlation, with a two-sided
     Student-t p-value on n - 2 degrees of freedom.
     """
     if truth_mode not in ("weighted", "unweighted"):
         raise DomainError(f"truth_mode must be weighted or unweighted, got {truth_mode!r}")
+    if len(truths) != len(table.tasks):
+        raise DomainError("need one truth vector per task")
     rows: list[VarianceQualityRow] = []
-    for task in table.tasks:
+    for task, truth in zip(table.tasks, truths):
         mat = task.matrix
-        if truth_mode == "weighted":
-            _, truth = optimal_weights(mat)
-        else:
-            truth = mat.mean(axis=1)
         for i, ai in enumerate(table.ai_names):
             col = mat[:, i]
             rows.append(
@@ -522,11 +530,13 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
     if q_points < 2:
         raise DomainError("q_points must be at least 2")
     task_reports: list[TaskReport] = []
+    proxies = []
     for task in table.tasks:
         mat = task.matrix
         m, n_ai = mat.shape
         corr, rho_bar = pairwise_correlations(mat)
         weights, proxy = optimal_weights(mat)
+        proxies.append(proxy)
         q_grid = np.linspace(1.0 / m, 1.0, q_points)
         curves, avg_curve = per_ai_precision_curves(mat, proxy, q_grid)
         intercept = constrained_intercept_fit(avg_curve)
@@ -558,6 +568,8 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
         tasks=task_reports,
         summary=summary_stats(table),
         qq_pairs=qq_data(pooled),
-        variance_weighted=variance_quality(table, "weighted"),
-        variance_unweighted=variance_quality(table, "unweighted"),
+        variance_weighted=variance_quality(table, proxies, "weighted"),
+        variance_unweighted=variance_quality(
+            table, [t.matrix.mean(axis=1) for t in table.tasks], "unweighted"
+        ),
     )

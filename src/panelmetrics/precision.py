@@ -4,6 +4,10 @@ Given observed scores x and true quality v over the same m candidates,
 ``precision_at_q`` selects the top q-fraction by each and reports the
 overlap fraction. ``generalized_precision`` decouples the two fractions
 so a q-slice of x can be scored against an h-slice of v.
+
+Every overlap is counted from ranks: ``stable_rank`` sorts a vector once,
+and the top-k slice is the set of ranks <= k. ``overlap_counts`` turns
+two rankings into the overlap size for every k at once.
 """
 from __future__ import annotations
 
@@ -17,7 +21,8 @@ from .errors import DomainError
 __all__ = [
     "PrecisionCurve",
     "top_count",
-    "top_set",
+    "stable_rank",
+    "overlap_counts",
     "precision_at_q",
     "generalized_precision",
     "log_q_grid",
@@ -39,29 +44,42 @@ def top_count(q: float, m: int) -> int:
     return max(int(math.floor(q * m + 0.5)), 1)
 
 
-def top_set(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, sorted ascending.
+def stable_rank(scores: np.ndarray) -> np.ndarray:
+    """1-based rank of each score, highest first.
 
-    Boundary ties break toward the lower candidate index. A stable sort
-    on the negated scores gives exactly that ordering.
+    Ties go to the lower candidate index, which a stable sort on the
+    negated scores gives. The top-k slice is ``stable_rank(s) <= k``.
     """
     scores = np.asarray(scores, dtype=float)
-    m = scores.size
-    if not 1 <= k <= m:
-        raise DomainError(f"k must lie in [1, {m}], got {k}")
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:k])
+    rank = np.empty(scores.size, dtype=np.int64)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(1, scores.size + 1)
+    return rank
 
 
-def precision_at_q(x: np.ndarray, v: np.ndarray, q: float) -> float:
-    """Overlap fraction between the top q-slices of x and v."""
+def overlap_counts(rank_x: np.ndarray, rank_v: np.ndarray) -> np.ndarray:
+    """``hits[k]``: how many candidates both top-k slices share, k = 0..m.
+
+    A candidate is in both slices exactly when the larger of its two
+    ranks is at most k, so counting those maxima and summing up gives
+    every k from one pass.
+    """
+    worst = np.maximum(rank_x, rank_v)
+    return np.cumsum(np.bincount(worst, minlength=worst.size + 1))
+
+
+def _ranks(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.shape != v.shape or x.ndim != 1:
         raise DomainError("x and v must be 1-d vectors of equal length")
-    k = top_count(q, x.size)
-    hits = np.intersect1d(top_set(x, k), top_set(v, k), assume_unique=True).size
-    return hits / k
+    return stable_rank(x), stable_rank(v)
+
+
+def precision_at_q(x: np.ndarray, v: np.ndarray, q: float) -> float:
+    """Overlap fraction between the top q-slices of x and v."""
+    rank_x, rank_v = _ranks(x, v)
+    k = top_count(q, rank_x.size)
+    return np.count_nonzero(np.maximum(rank_x, rank_v) <= k) / k
 
 
 def generalized_precision(
@@ -71,15 +89,10 @@ def generalized_precision(
 
     Equals precision_at_q when h == q; bounded above by min(1, k_q/k_h).
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape or x.ndim != 1:
-        raise DomainError("x and v must be 1-d vectors of equal length")
-    m = x.size
-    k_h = top_count(h, m)
-    k_q = top_count(q, m)
-    hits = np.intersect1d(top_set(v, k_h), top_set(x, k_q), assume_unique=True).size
-    return hits / k_h
+    rank_x, rank_v = _ranks(x, v)
+    k_h = top_count(h, rank_x.size)
+    k_q = top_count(q, rank_x.size)
+    return np.count_nonzero((rank_v <= k_h) & (rank_x <= k_q)) / k_h
 
 
 def log_q_grid(m: int, points: int = 50) -> np.ndarray:
@@ -116,6 +129,8 @@ class PrecisionCurve:
 
 
 def precision_curve(x: np.ndarray, v: np.ndarray, q_grid: np.ndarray) -> PrecisionCurve:
-    """Evaluate precision_at_q pointwise over a quantile grid."""
-    vals = np.array([precision_at_q(x, v, q) for q in np.asarray(q_grid, dtype=float)])
-    return PrecisionCurve(np.asarray(q_grid, dtype=float), vals)
+    """Precision at every grid point, from one ranking of each vector."""
+    q_grid = np.asarray(q_grid, dtype=float)
+    rank_x, rank_v = _ranks(x, v)
+    ks = np.array([top_count(q, rank_x.size) for q in q_grid], dtype=int)
+    return PrecisionCurve(q_grid, overlap_counts(rank_x, rank_v)[ks] / ks)

@@ -1,11 +1,13 @@
-"""Panel-scaling simulator.
+"""Simulators: single-scorer precision curves and panel scaling.
 
-Builds synthetic universes of correlated scorers, measures how top-q
-precision grows with panel size, fits the efficiency exponent b per
-universe, and regresses b on the measured correlation over a (q, rho)
-grid. Every stochastic step takes an explicit stream, and grid cells
-own independent derived streams, so results never depend on execution
-order or thread count.
+``simulate_distribution_curve`` averages one scorer's precision curve
+over trials of a signal distribution. The panel-scaling part builds
+synthetic universes of correlated scorers, measures how top-q precision
+grows with panel size, fits the efficiency exponent b per universe, and
+regresses b on the measured correlation over a (q, rho) grid. Every
+stochastic step takes an explicit stream, and grid cells own independent
+derived streams, so results never depend on execution order or thread
+count.
 """
 from __future__ import annotations
 
@@ -18,8 +20,16 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .laws import effective_rho
-from .precision import top_count, top_set
-from .streams import SeededStream, TailTransform, standardize, superstar_transform
+from .precision import precision_curve, stable_rank, top_count
+from .streams import (
+    DistributionSpec,
+    SeededStream,
+    TailTransform,
+    add_calibrated_noise,
+    sample_signal,
+    standardize,
+    superstar_transform,
+)
 
 __all__ = [
     "UniverseConfig",
@@ -31,6 +41,7 @@ __all__ = [
     "PRESETS",
     "OBSERVED_RHO_MEAN",
     "OBSERVED_RHO_SD",
+    "simulate_distribution_curve",
     "generate_universe",
     "mean_offdiag_correlation",
     "panel_precision_scan",
@@ -140,6 +151,29 @@ PRESETS = {
 }
 
 
+def simulate_distribution_curve(
+    spec: DistributionSpec,
+    m: int,
+    rho: float,
+    trials: int,
+    q_grid: np.ndarray,
+    stream: SeededStream,
+) -> np.ndarray:
+    """Average precision over the grid for one signal distribution.
+
+    Per trial: draw the signal, add noise calibrated to correlation rho,
+    and measure the noisy scores' precision curve against the signal.
+    """
+    signal_root = stream.derive(0)
+    noise_root = stream.derive(1)
+    totals = np.zeros(q_grid.size)
+    for trial in range(trials):
+        nu = sample_signal(spec, m, signal_root.derive(trial))
+        x = add_calibrated_noise(nu, rho, noise_root.derive(trial))
+        totals += precision_curve(x, nu, q_grid).values
+    return totals / trials
+
+
 def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> Universe:
     """Draw one universe: per-scorer (r_i, s_i), then the score matrix.
 
@@ -213,8 +247,7 @@ def panel_precision_scan(
         raise DomainError("samples_per_size must be at least 1")
 
     ksel = top_count(q, m)
-    true_mask = np.zeros(m, dtype=bool)
-    true_mask[top_set(u.y_true, ksel)] = True
+    true_mask = stable_rank(u.y_true) <= ksel
 
     g = stream.generator()
     avg = np.empty(len(sizes))

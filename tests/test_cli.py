@@ -1,5 +1,6 @@
 import csv
 import json
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -418,6 +419,26 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(task_name) in err
         assert not out.exists()
+
+    def test_duplicate_task_name_exits_4(self, capsys, tmp_path):
+        src = tmp_path / "scores.json"
+        write_fixture_table(src, names=("dup", "dup"))
+        out = tmp_path / "report"
+        rc = main(["analyze", str(src), "--out", str(out), "--format", "csv,json,svg"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'dup'" in err
+        assert not out.exists()
+
+    def test_markup_in_task_name_gives_well_formed_svg(self, tmp_path):
+        src = tmp_path / "scores.json"
+        write_fixture_table(src, names=("R&D<1>", "beta"))
+        out = tmp_path / "report"
+        assert main(["analyze", str(src), "--out", str(out), "--format", "svg"]) == 0
+        doc = minidom.parse(str(out / "curves_R&D<1>.svg"))
+        title = doc.getElementsByTagName("text")[0].firstChild.data
+        assert title == "Precision curves: R&D<1>"
 
     def test_task_name_with_comma_stays_one_cell(self, tmp_path):
         src = tmp_path / "scores.csv"

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from panelmetrics import empirics
 from panelmetrics.empirics import (
     ScoreTable,
     TaskScores,
@@ -119,6 +120,13 @@ class TestLoadSaveScores:
         path = tmp_path / "scores.json"
         save_scores(make_table(np.arange(12.0).reshape(6, 2), name=name), path)
         with pytest.raises(DataValidationError, match=re.escape(repr(name))):
+            load_scores(path)
+
+    def test_duplicate_task_name(self, tmp_path):
+        task = make_table(np.arange(12.0).reshape(6, 2), name="dup").tasks[0]
+        path = tmp_path / "scores.json"
+        save_scores(ScoreTable(ai_names=("ai_1", "ai_2"), tasks=(task, task)), path)
+        with pytest.raises(DataValidationError, match="'dup'"):
             load_scores(path)
 
 
@@ -305,6 +313,17 @@ class TestQQData:
             qq_data(np.array([1.0, 2.0]))
 
 
+def truths_for(table, mode):
+    """The per-task truths that build_report passes for a truth mode."""
+    if mode == "weighted":
+        return [optimal_weights(t.matrix)[1] for t in table.tasks]
+    return [t.matrix.mean(axis=1) for t in table.tasks]
+
+
+def run_variance_quality(table, mode):
+    return variance_quality(table, truths_for(table, mode), mode)
+
+
 class TestVarianceQuality:
     def _table(self):
         g = SeededStream(70).generator()
@@ -313,31 +332,36 @@ class TestVarianceQuality:
         return make_table(np.column_stack(cols) + 7.0)
 
     def test_row_layout(self):
-        result = variance_quality(self._table(), "weighted")
+        result = run_variance_quality(self._table(), "weighted")
         assert len(result.rows) == 4
         assert result.rows[0].task == "t1"
         assert 0.0 <= result.p_value <= 1.0
 
     def test_spreading_more_correlates_here(self):
         # columns built with variance proportional to signal share
-        result = variance_quality(self._table(), "unweighted")
+        result = run_variance_quality(self._table(), "unweighted")
         assert result.r > 0.5
 
     def test_modes_differ(self):
         table = self._table()
-        weighted = variance_quality(table, "weighted")
-        unweighted = variance_quality(table, "unweighted")
+        weighted = run_variance_quality(table, "weighted")
+        unweighted = run_variance_quality(table, "unweighted")
         assert weighted.truth_mode == "weighted"
         assert weighted.r != unweighted.r
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
-            variance_quality(self._table(), "robust")
+            run_variance_quality(self._table(), "robust")
 
     def test_too_few_rows_rejected(self):
         mat = SeededStream(71).generator().normal(size=(30, 2))
         with pytest.raises(DomainError):
-            variance_quality(make_table(mat), "unweighted")
+            run_variance_quality(make_table(mat), "unweighted")
+
+    def test_one_truth_per_task(self):
+        table = self._table()
+        with pytest.raises(DomainError):
+            variance_quality(table, truths_for(table, "unweighted") * 2, "unweighted")
 
 
 class TestBuildReport:
@@ -385,3 +409,26 @@ class TestBuildReport:
         report = build_report(table, q_points=10)
         assert [r.size for r in report.tasks[0].subset_rows] == [2]
         assert [r.size for r in report.tasks[0].sb_rows] == [2]
+
+    def test_weights_computed_once_per_task(self, monkeypatch):
+        g = SeededStream(82).generator()
+        v = g.standard_normal((2, 50, 1))
+        table = ScoreTable(
+            ai_names=("a1", "a2", "a3"),
+            tasks=tuple(
+                make_table(v[t] + g.standard_normal((50, 3)), name=f"t{t}").tasks[0]
+                for t in range(2)
+            ),
+        )
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return optimal_weights(matrix)
+
+        monkeypatch.setattr(empirics, "optimal_weights", counting)
+        report = build_report(table, q_points=10)
+        assert len(calls) == 2
+        assert report.variance_weighted.rows == run_variance_quality(
+            table, "weighted"
+        ).rows

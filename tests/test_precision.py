@@ -9,8 +9,8 @@ from panelmetrics.precision import (
     log_q_grid,
     precision_at_q,
     precision_curve,
+    stable_rank,
     top_count,
-    top_set,
 )
 from panelmetrics.streams import SeededStream
 
@@ -26,6 +26,26 @@ distinct_vectors = st.lists(
     max_size=60,
     unique=True,
 ).map(lambda xs: np.array(xs))
+
+
+@st.composite
+def tied_pairs(draw):
+    """Two equal-length vectors rounded to one decimal, so ties are heavy."""
+    m = draw(st.integers(2, 40))
+    cells = st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)
+    return np.round(np.array(draw(cells)), 1), np.round(np.array(draw(cells)), 1)
+
+
+def top_indices(scores, k):
+    """Reference top-k set: indices of a stable sort on the negated scores."""
+    return np.sort(np.argsort(-np.asarray(scores, dtype=float), kind="stable")[:k])
+
+
+def reference_overlap(x, v, k_x, k_v):
+    """Size of the intersection of the two reference top sets."""
+    return np.intersect1d(
+        top_indices(x, k_x), top_indices(v, k_v), assume_unique=True
+    ).size
 
 
 class TestTopCount:
@@ -49,22 +69,50 @@ class TestTopCount:
             top_count(0.5, 0)
 
 
-class TestTopSet:
+def top_slice(scores, k):
+    return list(np.flatnonzero(stable_rank(scores) <= k))
+
+
+class TestStableRank:
     def test_single_winner(self):
-        assert list(top_set(np.array([5, 1, 9]), 1)) == [2]
+        assert top_slice(np.array([5, 1, 9]), 1) == [2]
 
     def test_tie_breaks_to_lower_index(self):
-        assert list(top_set(np.array([7, 7, 1]), 1)) == [0]
-        assert list(top_set(np.array([3, 7, 7, 7]), 2)) == [1, 2]
+        assert top_slice(np.array([7, 7, 1]), 1) == [0]
+        assert top_slice(np.array([3, 7, 7, 7]), 2) == [1, 2]
 
     def test_full_set(self):
-        assert list(top_set(np.array([2.0, 1.0, 3.0]), 3)) == [0, 1, 2]
+        assert top_slice(np.array([2.0, 1.0, 3.0]), 3) == [0, 1, 2]
 
-    def test_k_out_of_range(self):
-        with pytest.raises(DomainError):
-            top_set(np.array([1.0, 2.0]), 0)
-        with pytest.raises(DomainError):
-            top_set(np.array([1.0, 2.0]), 3)
+
+class TestKernelMatchesSetIntersection:
+    """Every precision function against a top-set intersection reference."""
+
+    @settings(max_examples=200)
+    @given(pair=tied_pairs(), h=st.floats(0.01, 1.0), q=st.floats(0.01, 1.0))
+    @example(
+        pair=(
+            np.array([0.0, -0.0, 5e-324, -5e-324, 0.0, -5e-324]),
+            np.array([-0.0, 5e-324, 0.0, 0.0, -5e-324, -0.0]),
+        ),
+        h=0.5,
+        q=0.34,
+    )
+    def test_all_three_functions(self, pair, h, q):
+        x, v = pair
+        m = x.size
+        k_h, k_q = top_count(h, m), top_count(q, m)
+        assert precision_at_q(x, v, q) == reference_overlap(x, v, k_q, k_q) / k_q
+        assert (
+            generalized_precision(h, q, x, v)
+            == reference_overlap(x, v, k_q, k_h) / k_h
+        )
+        grid = log_q_grid(m, 7)
+        expected = [
+            reference_overlap(x, v, top_count(g, m), top_count(g, m)) / top_count(g, m)
+            for g in grid
+        ]
+        assert list(precision_curve(x, v, grid).values) == expected
 
 
 class TestPrecisionAtQ:

@@ -1,0 +1,155 @@
+"""Check that this checkout's commands give the same outputs as another's.
+
+Usage: python3 tools/same_outputs.py PARENT_CHECKOUT
+
+Runs a fixed list of ``panelmetrics`` command lines twice each, in fresh
+interpreters: once importing ``src`` of PARENT_CHECKOUT and once
+importing ``src`` of this checkout. Every run starts in its own empty
+directory that holds the same input files, which this checkout writes
+once. For every case it compares stdout, stderr, the exit code and the
+sha256 of every file written under ``out``, ``run.json`` included. It
+prints one line per case and one per difference, and exits 1 if any
+case differs, 0 otherwise.
+
+The cases are the four benchmark workloads (``perfbench/workloads.py``)
+at seeds 0-2, then small runs of every command, including the paths
+that exit 2, 3 and 4. A full comparison takes a few minutes.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from panelmetrics.empirics import load_scores, save_scores  # noqa: E402
+
+OUT = "out"
+ALL = "csv,json,svg"
+
+# (name, argv, input files the command reads)
+CASES = [
+    (f"{name} seed {seed}", workloads.argv(name, seed),
+     (f"seed{seed}/{workloads.SCORES}",) if name == "analyze" else ())
+    for name in workloads.NAMES
+    for seed in range(3)
+] + [
+    ("formula", ["formula", "--q", "0.2", "--rho", "0.55", "--n", "1,3,25",
+                 "--out", OUT], ()),
+    ("formula regime warning", ["formula", "--q", "0.01", "--rho", "0.95",
+                                "--out", OUT], ()),
+    ("formula unclipped", ["formula", "--q", "0.5", "--rho", "0.55", "--n", "1..200",
+                           "--unclipped", "--out", OUT, "--format", ALL], ()),
+    ("plan reachable", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75",
+                        "--out", OUT], ()),
+    ("plan exit 3", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.99",
+                     "--n-max", "5", "--out", OUT], ()),
+    ("plan exit 2", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "1.5"], ()),
+    ("curves", ["curves", "--m", "300", "--trials", "20", "--anchor-trials", "2000",
+                "--seed=4", "--out", OUT, "--format", ALL], ()),
+    ("curves svg", ["curves", "--m", "120", "--trials", "10", "--points", "12",
+                    "--anchor-trials", "500", "--out", OUT, "--format", "svg"], ()),
+    ("curves exit 2", ["curves", "--m", "5"], ()),
+    ("scaling grid", ["scaling", "--q", "0.1,0.2", "--rho", "0.4,0.6", "--samples", "60",
+                      "--max-size", "8", "--threads", "2", "--out", OUT,
+                      "--format", ALL], ()),
+    ("scaling single rho", ["scaling", "--rho", "0.5", "--samples", "40",
+                            "--max-size", "5", "--out", OUT], ()),
+    ("analyze csv", ["analyze", workloads.SCORES, "--threads", "2", "--out", OUT,
+                     "--format", ALL], (f"seed0/{workloads.SCORES}",)),
+    ("analyze json", ["analyze", "scores.json", "--out", OUT, "--format", "json"],
+     ("seed0/scores.json",)),
+    ("analyze json 20 points", ["analyze", "scores.json", "--q-points", "20",
+                                "--out", OUT, "--format", ALL], ("seed0/scores.json",)),
+    ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
+    ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
+]
+
+RUNNER = "import sys; from panelmetrics.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def write_inputs(inputs: Path) -> None:
+    """The analyze tables (seeds 0-2 as CSV, seed 0 also as JSON) and a bad CSV."""
+    for seed in range(3):
+        (inputs / f"seed{seed}").mkdir(parents=True)
+        workloads.write_inputs("analyze", seed, inputs / f"seed{seed}")
+    table = load_scores(inputs / "seed0" / workloads.SCORES)
+    save_scores(table, inputs / "seed0" / "scores.json")
+    (inputs / "bad.csv").write_text("task,candidate_id,attr,ai_1,ai_2\na,c0,,1.0,oops\n")
+
+
+def run(src: Path, argv: list[str], files: tuple[str, ...], inputs: Path,
+        workdir: Path) -> dict:
+    """One command in a fresh interpreter; its streams, exit code and digests."""
+    workdir.mkdir(parents=True)
+    for rel in files:
+        shutil.copy(inputs / rel, workdir / Path(rel).name)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", RUNNER, *argv], cwd=workdir, env=env,
+                          capture_output=True)
+    out = workdir / OUT
+    digests = {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*")) if p.is_file()
+    }
+    return {"stdout": proc.stdout, "stderr": proc.stderr,
+            "exit code": proc.returncode, "files": digests}
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (la, lb) in enumerate(zip(lines_a, lines_b)):
+        if la != lb:
+            return f"line {i + 1}: {la[:120]!r} vs {lb[:120]!r}"
+    return f"{len(lines_a)} lines vs {len(lines_b)} lines"
+
+
+def differences(parent: dict, ours: dict) -> list[str]:
+    """Each way the two runs differ, parent first."""
+    found = []
+    for stream in ("stdout", "stderr"):
+        if parent[stream] != ours[stream]:
+            found.append(f"{stream} {first_difference(parent[stream], ours[stream])}")
+    if parent["exit code"] != ours["exit code"]:
+        found.append(f"exit code {parent['exit code']} vs {ours['exit code']}")
+    for name in sorted(parent["files"].keys() | ours["files"].keys()):
+        a, b = parent["files"].get(name), ours["files"].get(name)
+        if a is None or b is None:
+            side = "this checkout" if a is None else "the parent"
+            found.append(f"{OUT}/{name} written only by {side}")
+        elif a != b:
+            found.append(f"{OUT}/{name} differs")
+    return found
+
+
+def main() -> int:
+    if len(sys.argv) != 2 or not (Path(sys.argv[1]) / "src" / "panelmetrics").is_dir():
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent_src = Path(sys.argv[1]).resolve() / "src"
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_inputs(tmp / "inputs")
+        for i, (name, argv, files) in enumerate(CASES):
+            parent = run(parent_src, argv, files, tmp / "inputs", tmp / f"{i}-parent")
+            ours = run(ROOT / "src", argv, files, tmp / "inputs", tmp / f"{i}-ours")
+            found = differences(parent, ours)
+            differing += bool(found)
+            print(f"{'DIFF' if found else 'same'}  {name} "
+                  f"(exit {ours['exit code']}, {len(ours['files'])} files)", flush=True)
+            for line in found:
+                print(f"      {line}", flush=True)
+    print(f"{len(CASES) - differing} of {len(CASES)} cases identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
