@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataValidationError, DomainError
 from .laws import spearman_brown
 from .precision import PrecisionCurve, precision_curve
-from .simulate import mean_offdiag_correlation
+from .simulate import correlation_summary
 from .special import std_normal_quantile, student_t_sf_two_sided
 from .streams import standardize
 
@@ -265,9 +265,7 @@ def optimal_weights(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def pairwise_correlations(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Full Pearson correlation matrix and its mean off-diagonal value."""
-    matrix = np.asarray(matrix, dtype=float)
-    rho_bar = mean_offdiag_correlation(matrix)
-    return np.corrcoef(matrix, rowvar=False), rho_bar
+    return correlation_summary(matrix)
 
 
 def per_ai_precision_curves(

@@ -7,7 +7,9 @@ so a q-slice of x can be scored against an h-slice of v.
 
 Every overlap is counted from ranks: ``stable_rank`` sorts a vector once,
 and the top-k slice is the set of ranks <= k. ``overlap_counts`` turns
-two rankings into the overlap size for every k at once.
+two rankings into the overlap size for every k at once. ``top_hits``
+counts the same top-k sets for every column of a matrix without sorting:
+it partitions each column at its k-th largest value instead.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ __all__ = [
     "top_count",
     "stable_rank",
     "overlap_counts",
+    "top_hits",
     "precision_at_q",
     "generalized_precision",
     "log_q_grid",
@@ -30,18 +33,21 @@ __all__ = [
 ]
 
 
-def top_count(q: float, m: int) -> int:
+def top_count(q: float | np.ndarray, m: int) -> int | np.ndarray:
     """Selection size for fraction q of m: max(round(q*m), 1).
 
     Rounds half away from zero, so q*m = 2.5 selects 3. Python's
     round() would give 2 there (banker's rounding), which silently
-    changes every curve at half-integer grid points.
+    changes every curve at half-integer grid points. An array of
+    fractions, such as a quantile grid, gives an array of sizes.
     """
-    if not 0.0 < q <= 1.0:
+    q = np.asarray(q, dtype=float)
+    if not np.all((q > 0.0) & (q <= 1.0)):
         raise DomainError("q must lie in (0, 1]")
     if m < 1:
         raise DomainError("m must be at least 1")
-    return max(int(math.floor(q * m + 0.5)), 1)
+    k = np.maximum(np.floor(q * m + 0.5).astype(np.int64), 1)
+    return int(k) if k.ndim == 0 else k
 
 
 def stable_rank(scores: np.ndarray) -> np.ndarray:
@@ -65,6 +71,35 @@ def overlap_counts(rank_x: np.ndarray, rank_v: np.ndarray) -> np.ndarray:
     """
     worst = np.maximum(rank_x, rank_v)
     return np.cumsum(np.bincount(worst, minlength=worst.size + 1))
+
+
+def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
+    """How many ``truth`` rows each column's top-k rows hold, for an m x B block.
+
+    A column's top-k rows are those with ``stable_rank(column) <= k``: the
+    k largest values, ties going to the lower row index. ``np.partition``
+    finds each column's k-th largest value t. Every row above t is in the
+    set, and so is every row equal to t, unless a tie with t is left below
+    the partition point; only such a column picks its tied rows by index.
+    """
+    est = np.asarray(estimates, dtype=float)
+    truth = np.asarray(truth, dtype=bool)
+    m = est.shape[0]
+    if est.ndim != 2 or truth.shape != (m,):
+        raise DomainError("need an m x B matrix and a length-m truth mask")
+    if not 1 <= k <= m:
+        raise DomainError(f"k must lie in 1..{m}")
+    part = np.partition(est, m - k, axis=0)
+    t = part[m - k]
+    est_true = est[truth]
+    hits = np.count_nonzero(est_true >= t, axis=0)
+    if k < m:
+        for j in np.flatnonzero(part[: m - k].max(axis=0) == t):
+            col = est[:, j]
+            slots = k - np.count_nonzero(col > t[j])
+            tied = np.flatnonzero(col == t[j])[:slots]
+            hits[j] = np.count_nonzero(est_true[:, j] > t[j]) + np.count_nonzero(truth[tied])
+    return hits
 
 
 def _ranks(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,5 +167,5 @@ def precision_curve(x: np.ndarray, v: np.ndarray, q_grid: np.ndarray) -> Precisi
     """Precision at every grid point, from one ranking of each vector."""
     q_grid = np.asarray(q_grid, dtype=float)
     rank_x, rank_v = _ranks(x, v)
-    ks = np.array([top_count(q, rank_x.size) for q in q_grid], dtype=int)
+    ks = top_count(q_grid, rank_x.size)
     return PrecisionCurve(q_grid, overlap_counts(rank_x, rank_v)[ks] / ks)

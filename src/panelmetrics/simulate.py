@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .laws import effective_rho
-from .precision import precision_curve, stable_rank, top_count
+from .precision import precision_curve, stable_rank, top_count, top_hits
 from .streams import (
     DistributionSpec,
     SeededStream,
@@ -43,6 +43,7 @@ __all__ = [
     "OBSERVED_RHO_SD",
     "simulate_distribution_curve",
     "generate_universe",
+    "correlation_summary",
     "mean_offdiag_correlation",
     "panel_precision_scan",
     "fit_exponent_b",
@@ -58,6 +59,9 @@ OBSERVED_RHO_SD = 0.136
 _R_CLIP = (0.01, 0.999)
 _B_BOUNDS = (0.01, 1.5)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# samples per top_hits call in panel_precision_scan: bounds the partition's
+# m x block temporaries without changing any count
+_SCAN_BLOCK = 512
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,8 +213,8 @@ def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> Universe:
     )
 
 
-def mean_offdiag_correlation(scores: np.ndarray) -> float:
-    """Average pairwise Pearson correlation over all off-diagonal pairs."""
+def correlation_summary(scores: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pearson correlation matrix of the columns and its mean off-diagonal value."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] < 2:
         raise DomainError("need a 2-d matrix with at least 2 columns")
@@ -218,7 +222,12 @@ def mean_offdiag_correlation(scores: np.ndarray) -> float:
         raise DomainError("constant column has undefined correlation")
     corr = np.corrcoef(scores, rowvar=False)
     n = corr.shape[0]
-    return float((corr.sum() - n) / (n * (n - 1)))
+    return corr, float((corr.sum() - n) / (n * (n - 1)))
+
+
+def mean_offdiag_correlation(scores: np.ndarray) -> float:
+    """Average pairwise Pearson correlation over all off-diagonal pairs."""
+    return correlation_summary(scores)[1]
 
 
 def panel_precision_scan(
@@ -233,8 +242,12 @@ def panel_precision_scan(
     For every panel size, draws random subsets of scorers without
     replacement, scores each candidate by the subset mean, and measures
     precision against y_true. The subset means are computed as one
-    matrix product with a sparse 0/1-weight matrix; per-sample top sets
-    use the same stable ordering as the precision module.
+    matrix product with a sparse 0/1-weight matrix; ``top_hits`` then
+    counts each sample's top set in blocks of columns, with the same
+    lowest-index tie-break as the precision module. The product is never
+    split by samples: on some BLAS builds a narrow column slice of the
+    weights gives different last bits than the same columns of the full
+    product.
     """
     m, n_ais = u.scores.shape
     if sizes is None:
@@ -256,8 +269,13 @@ def panel_precision_scan(
         for j in range(samples_per_size):
             weights[g.choice(n_ais, k, replace=False), j] = 1.0 / k
         estimates = u.scores @ weights
-        top = np.argsort(-estimates, axis=0, kind="stable")[:ksel]
-        avg[i] = true_mask[top].sum() / (ksel * samples_per_size)
+        del weights
+        hits = sum(
+            top_hits(estimates[:, s : s + _SCAN_BLOCK], true_mask, ksel).sum()
+            for s in range(0, samples_per_size, _SCAN_BLOCK)
+        )
+        del estimates
+        avg[i] = hits / (ksel * samples_per_size)
 
     fitted = fit_exponent_b(sizes, avg, u.measured_rho, q)
     return PanelScanResult(

@@ -22,6 +22,7 @@ from panelmetrics.empirics import (
 )
 from panelmetrics.errors import DataValidationError, DomainError
 from panelmetrics.precision import PrecisionCurve
+from panelmetrics.simulate import mean_offdiag_correlation
 from panelmetrics.streams import SeededStream
 
 
@@ -179,6 +180,20 @@ class TestPairwiseCorrelations:
         corr, _ = pairwise_correlations(equicorr_matrix(200, 4, 0.3))
         assert np.max(np.abs(corr - corr.T)) < 1e-12
         assert np.allclose(np.diag(corr), 1.0)
+
+    def test_one_correlation_pass(self, equicorr_matrix, monkeypatch):
+        mat = equicorr_matrix(200, 4, 0.3)
+        calls = []
+        corrcoef = np.corrcoef
+        monkeypatch.setattr(np, "corrcoef", lambda *a, **k: calls.append(1) or corrcoef(*a, **k))
+        corr, rho_bar = pairwise_correlations(mat)
+        assert len(calls) == 1
+        assert rho_bar == mean_offdiag_correlation(mat)
+        assert np.array_equal(corr, corrcoef(mat, rowvar=False))
+
+    def test_constant_column_rejected(self):
+        with pytest.raises(DomainError, match="constant column has undefined correlation"):
+            pairwise_correlations(np.column_stack([np.ones(10), np.arange(10.0)]))
 
 
 class TestConstrainedInterceptFit:

@@ -11,6 +11,7 @@ from panelmetrics.precision import (
     precision_curve,
     stable_rank,
     top_count,
+    top_hits,
 )
 from panelmetrics.streams import SeededStream
 
@@ -48,6 +49,55 @@ def reference_overlap(x, v, k_x, k_v):
     ).size
 
 
+@st.composite
+def tied_blocks(draw):
+    """An m x B block rounded to one decimal, a truth mask and a k."""
+    m = draw(st.integers(1, 30))
+    b = draw(st.integers(1, 8))
+    cells = st.lists(st.floats(-1.0, 1.0), min_size=m * b, max_size=m * b)
+    est = np.round(np.array(draw(cells)).reshape(m, b), 1)
+    truth = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    return est, truth, draw(st.integers(1, m))
+
+
+def reference_hits(est, truth, k):
+    """Truth rows in each column's top k, from a stable argsort of the column."""
+    top = np.argsort(-est, axis=0, kind="stable")[:k]
+    return truth[top].sum(axis=0)
+
+
+class TestTopHits:
+    @settings(max_examples=300)
+    @given(block=tied_blocks())
+    @example(
+        block=(
+            np.array([[0.0, -0.0], [-0.0, 5e-324], [5e-324, 0.0], [0.0, -0.0]]),
+            np.array([False, True, False, True]),
+            2,
+        )
+    )
+    @example(
+        # three rows tie at the boundary for two free slots
+        block=(
+            np.array([[2.0], [1.0], [1.0], [1.0], [0.0]]),
+            np.array([False, True, True, False, False]),
+            3,
+        )
+    )
+    def test_matches_stable_argsort(self, block):
+        est, truth, k = block
+        assert list(top_hits(est, truth, k)) == list(reference_hits(est, truth, k))
+
+    def test_domain(self):
+        est = np.zeros((4, 2))
+        with pytest.raises(DomainError):
+            top_hits(est, np.ones(4, dtype=bool), 0)
+        with pytest.raises(DomainError):
+            top_hits(est, np.ones(4, dtype=bool), 5)
+        with pytest.raises(DomainError):
+            top_hits(est, np.ones(3, dtype=bool), 2)
+
+
 class TestTopCount:
     def test_floor_at_one(self):
         assert top_count(0.001, 100) == 1
@@ -56,6 +106,7 @@ class TestTopCount:
         # 0.25 * 10 = 2.5 must select 3, not banker's 2
         assert top_count(0.25, 10) == 3
         assert top_count(0.35, 10) == 4
+        assert list(top_count(np.array([0.05, 0.25, 0.35, 1.0]), 10)) == [1, 3, 4, 10]
 
     def test_full_selection(self):
         assert top_count(1.0, 17) == 17
@@ -265,3 +316,16 @@ class TestPrecisionCurve:
             PrecisionCurve(np.array([0.2, 0.5]), np.array([1.0]))
         with pytest.raises(DomainError):
             precision_curve(np.arange(5.0), np.arange(5.0), [])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.5, np.nan])
+    def test_q_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError, match=r"q must lie in \(0, 1\]"):
+            precision_curve(np.arange(5.0), np.arange(5.0), [0.5, bad])
+
+    def test_grid_counts_match_top_count(self):
+        # q*m is 0.5, 2.5, 3.5 and 5.5 at m = 10: halves round away from zero
+        g = SeededStream(3).generator()
+        x, v = np.round(g.standard_normal((2, 10)), 1)
+        grid = np.array([0.05, 0.25, 0.35, 0.55, 1.0])
+        expected = [precision_at_q(x, v, q) for q in grid]
+        assert list(precision_curve(x, v, grid).values) == expected

@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from panelmetrics import simulate
 from panelmetrics.errors import ConfigError, DomainError
+from panelmetrics.precision import stable_rank, top_count
 from panelmetrics.simulate import (
     OBSERVED_RHO_MEAN,
     OBSERVED_RHO_SD,
+    Universe,
     UniverseConfig,
     b_grid_scan,
     fit_exponent_b,
@@ -148,6 +151,49 @@ class TestPanelPrecisionScan:
             panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[0])
         with pytest.raises(DomainError):
             panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[21])
+
+
+def argsort_scan(u, q, stream, sizes, samples):
+    """The scan as one stable argsort of the whole estimate matrix per size."""
+    m, n = u.scores.shape
+    ksel = top_count(q, m)
+    true_mask = stable_rank(u.y_true) <= ksel
+    g = stream.generator()
+    avg = []
+    for k in sizes:
+        weights = np.zeros((n, samples))
+        for j in range(samples):
+            weights[g.choice(n, k, replace=False), j] = 1.0 / k
+        top = np.argsort(-(u.scores @ weights), axis=0, kind="stable")[:ksel]
+        avg.append(true_mask[top].sum() / (ksel * samples))
+    return np.array(avg)
+
+
+@pytest.fixture(scope="module")
+def rounded_universe(small_universe):
+    """small_universe rounded to one decimal, so panel estimates tie heavily."""
+    scores = np.round(small_universe.scores, 1)
+    return Universe(scores, scores.mean(axis=1), small_universe.measured_rho)
+
+
+class TestScanMatchesArgsort:
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            1,
+            simulate._SCAN_BLOCK - 1,
+            simulate._SCAN_BLOCK,
+            simulate._SCAN_BLOCK + 1,
+            2 * simulate._SCAN_BLOCK + 3,
+        ],
+    )
+    def test_bit_identical(self, rounded_universe, samples):
+        sizes = [1, 2, 5]
+        scan = panel_precision_scan(
+            rounded_universe, 0.2, SeededStream(24), sizes, samples
+        )
+        expected = argsort_scan(rounded_universe, 0.2, SeededStream(24), sizes, samples)
+        assert scan.avg_precisions.tobytes() == expected.tobytes()
 
 
 class TestFitExponentB:
