@@ -19,12 +19,10 @@ from .errors import (
     PanelMetricsError,
 )
 from .laws import (
-    LinearScoreModel,
     PanelQuery,
     effective_rho,
     efficiency_exponent,
     panel_precision,
-    pearson_from_model,
     required_panel_size,
     single_precision_linear,
     spearman_brown,
@@ -45,13 +43,11 @@ __all__ = [
     "DataValidationError",
     "NumericalError",
     "PanelQuery",
-    "LinearScoreModel",
     "panel_precision",
     "effective_rho",
     "efficiency_exponent",
     "single_precision_linear",
     "spearman_brown",
-    "pearson_from_model",
     "required_panel_size",
     "PrecisionCurve",
     "precision_at_q",

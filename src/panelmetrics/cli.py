@@ -46,9 +46,7 @@ from .simulate import (
     regress_b_on_rho,
     simulate_distribution_curve,
 )
-from .streams import DistributionSpec, SeededStream, TailTransform
-
-_CURVE_DISTRIBUTIONS = ("normal", "lognormal", "pareto", "student_t")
+from .streams import DISTRIBUTION_KINDS, DistributionSpec, SeededStream, TailTransform
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -287,20 +285,20 @@ def cmd_curves(args) -> int:
     grid = log_q_grid(args.m, args.points)
     root = SeededStream(args.seed)
     curves = {}
-    for index, kind in enumerate(_CURVE_DISTRIBUTIONS):
+    for index, kind in enumerate(DISTRIBUTION_KINDS):
         spec = DistributionSpec(kind, t_dof=args.t_dof)
         curves[kind] = simulate_distribution_curve(
             spec, args.m, args.rho, args.trials, grid, root.derive(index)
         )
 
     near_02 = int(np.argmin(np.abs(grid - 0.2)))
-    p_avg_02 = float(np.mean([curves[kind][near_02] for kind in _CURVE_DISTRIBUTIONS]))
+    p_avg_02 = float(np.mean([curves[kind][near_02] for kind in DISTRIBUTION_KINDS]))
     anchors = compute_anchors(
         args.m,
         args.rho,
         args.t_dof,
         args.anchor_trials,
-        root.derive(len(_CURVE_DISTRIBUTIONS)),
+        root.derive(len(DISTRIBUTION_KINDS)),
         p_avg_02,
     )
     ref = reference_line(grid, p_avg_02)
@@ -312,12 +310,12 @@ def cmd_curves(args) -> int:
         f"t={fmt6(anchors.t_limit)} heavy={fmt6(anchors.heavy_tail_estimate)}"
     )
 
-    header = ("q", *(f"p_{kind}" for kind in _CURVE_DISTRIBUTIONS), "reference")
+    header = ("q", *(f"p_{kind}" for kind in DISTRIBUTION_KINDS), "reference")
     rows = [
-        (grid[i], *(curves[kind][i] for kind in _CURVE_DISTRIBUTIONS), ref[i])
+        (grid[i], *(curves[kind][i] for kind in DISTRIBUTION_KINDS), ref[i])
         for i in range(grid.size)
     ]
-    series = [PlotSeries(kind, grid, curves[kind]) for kind in _CURVE_DISTRIBUTIONS]
+    series = [PlotSeries(kind, grid, curves[kind]) for kind in DISTRIBUTION_KINDS]
     series.append(PlotSeries("reference", grid, ref))
     series.append(
         PlotSeries(

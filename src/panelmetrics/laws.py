@@ -6,8 +6,8 @@ The central object is the panel precision law
 
 for a panel of n scorers whose pairwise score correlation is rho, with
 an empirically fitted efficiency exponent b = q* + 0.8*(1 - rho). The
-module also carries the single-scorer approximations, the classical
-Spearman-Brown reliability step-up, and the noise-model Pearson map.
+module also carries the single-scorer approximations and the classical
+Spearman-Brown reliability step-up.
 
 Everything here is a pure function of its arguments.
 """
@@ -21,16 +21,13 @@ from .errors import DomainError
 
 __all__ = [
     "PanelQuery",
-    "LinearScoreModel",
     "clip_quantile",
     "efficiency_exponent",
     "effective_rho",
     "panel_precision",
     "single_precision_linear",
     "p20_single",
-    "single_precision_above20",
     "spearman_brown",
-    "pearson_from_model",
     "required_panel_size",
 ]
 
@@ -65,22 +62,6 @@ class PanelQuery:
         _check_rho(self.rho)
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
-
-
-@dataclasses.dataclass(frozen=True)
-class LinearScoreModel:
-    """Additive score model x = a*v + c + eps for one scorer."""
-
-    a: float
-    c: float
-    sigma_v: float
-    sigma_eps: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma_v > 0:
-            raise DomainError("sigma_v must be positive")
-        if self.sigma_eps < 0:
-            raise DomainError("sigma_eps must be non-negative")
 
 
 def clip_quantile(q: float) -> float:
@@ -141,37 +122,12 @@ def p20_single(rho: float) -> float:
     return 0.2 + 0.5 * rho + 0.3 * rho**10
 
 
-def single_precision_above20(q: float, rho: float, crude: bool = False) -> float:
-    """Single-scorer precision for cuts at or above the top 20%.
-
-    q + (1 - q)*(0.625*rho + 0.375*rho**10), or the cruder
-    (0.6*rho + 0.4*rho**10) bracket with crude=True. Below q = 0.2 the
-    interpolation is unsupported; computed anyway, callers should warn.
-    """
-    q = _check_q(q)
-    rho = _check_rho(rho)
-    blend = (0.6 * rho + 0.4 * rho**10) if crude else (0.625 * rho + 0.375 * rho**10)
-    return q + (1.0 - q) * blend
-
-
 def spearman_brown(n: int, rho_bar: float) -> float:
     """Reliability of the mean of n parallel scorers: n*rho/(1+(n-1)*rho)."""
     if n < 1:
         raise DomainError("n must be at least 1")
     rho_bar = _check_rho(rho_bar)
     return n * rho_bar / (1.0 + (n - 1.0) * rho_bar)
-
-
-def pearson_from_model(model: LinearScoreModel) -> float:
-    """Pearson correlation between scores and truth implied by the model.
-
-    a*sigma_v / sqrt(a**2*sigma_v**2 + sigma_eps**2); invariant to joint
-    rescaling of (a, sigma_eps), and the offset c never enters.
-    """
-    if model.a <= 0:
-        raise DomainError("scorer gain a must be positive")
-    signal = model.a * model.sigma_v
-    return signal / (signal**2 + model.sigma_eps**2) ** 0.5
 
 
 def required_panel_size(

@@ -39,8 +39,6 @@ __all__ = [
     "BRegressionRow",
     "ScanPreset",
     "PRESETS",
-    "OBSERVED_RHO_MEAN",
-    "OBSERVED_RHO_SD",
     "simulate_distribution_curve",
     "generate_universe",
     "correlation_summary",
@@ -49,12 +47,7 @@ __all__ = [
     "fit_exponent_b",
     "b_grid_scan",
     "regress_b_on_rho",
-    "sample_target_rho_like_observed",
 ]
-
-#: distribution of observed inter-scorer correlations in the motivating data
-OBSERVED_RHO_MEAN = 0.534
-OBSERVED_RHO_SD = 0.136
 
 _R_CLIP = (0.01, 0.999)
 _B_BOUNDS = (0.01, 1.5)
@@ -112,11 +105,9 @@ class Universe:
 
 @dataclasses.dataclass(frozen=True)
 class PanelScanResult:
-    q: float
-    panel_sizes: tuple[int, ...]
+    """Average precision per scanned panel size and the b fitted to them."""
+
     avg_precisions: np.ndarray
-    samples_per_size: int
-    measured_rho: float
     fitted_b: float
 
 
@@ -277,15 +268,7 @@ def panel_precision_scan(
         del estimates
         avg[i] = hits / (ksel * samples_per_size)
 
-    fitted = fit_exponent_b(sizes, avg, u.measured_rho, q)
-    return PanelScanResult(
-        q=q,
-        panel_sizes=sizes,
-        avg_precisions=avg,
-        samples_per_size=samples_per_size,
-        measured_rho=u.measured_rho,
-        fitted_b=fitted,
-    )
+    return PanelScanResult(avg, fit_exponent_b(sizes, avg, u.measured_rho, q))
 
 
 def fit_exponent_b(
@@ -413,12 +396,3 @@ def regress_b_on_rho(rows: Sequence[BGridRow]) -> BRegressionRow:
         intercept=intercept,
         r_squared=min(max(r_squared, 0.0), 1.0),
     )
-
-
-def sample_target_rho_like_observed(count: int, stream: SeededStream) -> np.ndarray:
-    """Correlation targets mimicking the observed inter-scorer distribution."""
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    g = stream.generator()
-    draws = g.normal(OBSERVED_RHO_MEAN, OBSERVED_RHO_SD, count)
-    return np.clip(draws, *_R_CLIP)

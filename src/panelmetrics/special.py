@@ -26,21 +26,13 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _cdf_scalar(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF, scalar or elementwise on arrays.
+def std_normal_cdf(z: float) -> float:
+    """Standard normal CDF of one value.
 
     Built on erfc, so the lower tail keeps full relative accuracy
     instead of rounding to 0.
     """
-    if np.ndim(z) == 0:
-        return _cdf_scalar(float(z))
-    arr = np.asarray(z, dtype=float)
-    out = np.array([_cdf_scalar(t) for t in arr.ravel()])
-    return out.reshape(arr.shape)
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 # Acklam's rational approximation; |rel err| < 1.15e-9 before refinement
@@ -86,7 +78,7 @@ def _quantile_scalar(p: float) -> float:
             (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
         )
     # one Halley step against the erfc-based CDF lands well under 1e-10
-    err = _cdf_scalar(x) - p
+    err = std_normal_cdf(x) - p
     u = err * _SQRT_2PI * math.exp(0.5 * x * x)
     return x - u / (1.0 + 0.5 * x * u)
 
@@ -128,15 +120,15 @@ def bivariate_normal_cdf(z1: float, z2: float, rho: float) -> float:
     if z1 == -math.inf or z2 == -math.inf:
         return 0.0
     if z1 == math.inf:
-        return _cdf_scalar(z2)
+        return std_normal_cdf(z2)
     if z2 == math.inf:
-        return _cdf_scalar(z1)
+        return std_normal_cdf(z1)
     if rho == 0.0:
-        return _cdf_scalar(z1) * _cdf_scalar(z2)
+        return std_normal_cdf(z1) * std_normal_cdf(z2)
     if rho == 1.0:
-        return _cdf_scalar(min(z1, z2))
+        return std_normal_cdf(min(z1, z2))
     if rho == -1.0:
-        return max(0.0, _cdf_scalar(z1) + _cdf_scalar(z2) - 1.0)
+        return max(0.0, std_normal_cdf(z1) + std_normal_cdf(z2) - 1.0)
 
     upper = math.asin(rho)
     nodes, weights = _gl_nodes()
@@ -144,7 +136,7 @@ def bivariate_normal_cdf(z1: float, z2: float, rho: float) -> float:
     cos_t = np.cos(theta)
     expo = -(z1 * z1 + z2 * z2 - 2.0 * z1 * z2 * np.sin(theta)) / (2.0 * cos_t * cos_t)
     integral = 0.5 * upper * float(np.dot(weights, np.exp(expo)))
-    value = _cdf_scalar(z1) * _cdf_scalar(z2) + integral / (2.0 * math.pi)
+    value = std_normal_cdf(z1) * std_normal_cdf(z2) + integral / (2.0 * math.pi)
     # quadrature round-off can poke a hair outside [0, 1]
     return min(max(value, 0.0), 1.0)
 

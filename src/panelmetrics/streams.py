@@ -20,6 +20,7 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "SeededStream",
+    "DISTRIBUTION_KINDS",
     "DistributionSpec",
     "TailTransform",
     "sample_signal",
@@ -27,6 +28,9 @@ __all__ = [
     "superstar_transform",
     "standardize",
 ]
+
+#: signal distributions, in the order of the ``curves`` columns and streams
+DISTRIBUTION_KINDS = ("normal", "lognormal", "pareto", "student_t")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -78,12 +82,11 @@ class DistributionSpec:
     pareto_shape: float = 3.0
     t_dof: float = 4.0
 
-    _KINDS = ("normal", "lognormal", "pareto", "student_t")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in DISTRIBUTION_KINDS:
             raise ConfigError(
-                f"unknown distribution kind {self.kind!r}; expected one of {self._KINDS}"
+                f"unknown distribution kind {self.kind!r}; "
+                f"expected one of {DISTRIBUTION_KINDS}"
             )
         if not self.pareto_shape > 2:
             raise ConfigError("pareto_shape must exceed 2 (finite variance)")

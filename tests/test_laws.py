@@ -1,21 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from panelmetrics.errors import DomainError
 from panelmetrics.laws import (
-    LinearScoreModel,
     PanelQuery,
     clip_quantile,
     effective_rho,
     efficiency_exponent,
     p20_single,
     panel_precision,
-    pearson_from_model,
     required_panel_size,
-    single_precision_above20,
     single_precision_linear,
     spearman_brown,
 )
@@ -144,59 +139,12 @@ class TestSingleScorerForms:
         assert all(0.2 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_above20_forms(self):
-        assert single_precision_above20(1.0, 0.6) == pytest.approx(1.0)
-        assert single_precision_above20(1.0, 0.6, crude=True) == pytest.approx(1.0)
-        assert single_precision_above20(0.2, 1.0) == pytest.approx(1.0)
-        expected = 0.3 + 0.7 * (0.625 * 0.5 + 0.375 * 0.5**10)
-        assert single_precision_above20(0.3, 0.5) == pytest.approx(expected)
-
-    def test_crude_flag_switches_coefficients(self):
-        assert single_precision_above20(0.3, 0.5, crude=True) == pytest.approx(
-            0.3 + 0.7 * (0.6 * 0.5 + 0.4 * 0.5**10)
-        )
-
 
 class TestSpearmanBrown:
     def test_published_predictions(self):
         assert spearman_brown(2, 0.545) == pytest.approx(0.7055, abs=5e-5)
         assert spearman_brown(3, 0.545) == pytest.approx(0.7823, abs=5e-5)
         assert spearman_brown(1, 0.3) == pytest.approx(0.3)
-
-
-class TestPearsonFromModel:
-    def test_noise_free(self):
-        assert pearson_from_model(LinearScoreModel(1, 0, 1, 0)) == pytest.approx(1.0)
-
-    def test_equal_signal_noise(self):
-        assert pearson_from_model(LinearScoreModel(1, 0, 1, 1)) == pytest.approx(
-            1 / math.sqrt(2)
-        )
-
-    @given(
-        k=st.floats(min_value=0.01, max_value=100),
-        a=st.floats(min_value=0.01, max_value=10),
-        eps=st.floats(min_value=0.0, max_value=10),
-    )
-    def test_joint_scale_invariance(self, k, a, eps):
-        base = pearson_from_model(LinearScoreModel(a, 3.0, 1.0, eps))
-        scaled = pearson_from_model(LinearScoreModel(k * a, -1.0, 1.0, k * eps))
-        assert scaled == pytest.approx(base, rel=1e-9)
-
-    def test_offset_never_enters(self):
-        assert pearson_from_model(LinearScoreModel(2, 99.0, 1, 2)) == pytest.approx(
-            pearson_from_model(LinearScoreModel(2, 0.0, 1, 2))
-        )
-
-    def test_nonpositive_gain_rejected(self):
-        with pytest.raises(DomainError):
-            pearson_from_model(LinearScoreModel(0, 0, 1, 1))
-
-    def test_model_invariants(self):
-        with pytest.raises(DomainError):
-            LinearScoreModel(1, 0, 0.0, 1)
-        with pytest.raises(DomainError):
-            LinearScoreModel(1, 0, 1.0, -0.1)
 
 
 class TestRequiredPanelSize:

@@ -7,8 +7,6 @@ from panelmetrics import simulate
 from panelmetrics.errors import ConfigError, DomainError
 from panelmetrics.precision import stable_rank, top_count
 from panelmetrics.simulate import (
-    OBSERVED_RHO_MEAN,
-    OBSERVED_RHO_SD,
     Universe,
     UniverseConfig,
     b_grid_scan,
@@ -17,7 +15,6 @@ from panelmetrics.simulate import (
     mean_offdiag_correlation,
     panel_precision_scan,
     regress_b_on_rho,
-    sample_target_rho_like_observed,
     BGridRow,
 )
 from panelmetrics.streams import SeededStream, TailTransform
@@ -287,19 +284,3 @@ class TestRegressBOnRho:
         ]
         with pytest.raises(DomainError):
             regress_b_on_rho(rows)
-
-
-class TestSampleTargetRho:
-    def test_matches_observed_distribution(self):
-        draws = sample_target_rho_like_observed(200000, SeededStream(31))
-        assert draws.mean() == pytest.approx(OBSERVED_RHO_MEAN, abs=0.01)
-        assert draws.std() == pytest.approx(OBSERVED_RHO_SD, abs=0.01)
-
-    def test_clipped_into_open_unit_interval(self):
-        draws = sample_target_rho_like_observed(50000, SeededStream(32))
-        assert draws.min() >= 0.01
-        assert draws.max() <= 0.999
-
-    def test_count_domain(self):
-        with pytest.raises(DomainError):
-            sample_target_rho_like_observed(0, SeededStream(0))

@@ -13,7 +13,8 @@ case differs, 0 otherwise.
 
 The cases are the four benchmark workloads (``perfbench/workloads.py``)
 at seeds 0-2, then small runs of every command, including the paths
-that exit 2, 3 and 4. A full comparison takes a few minutes.
+that exit 2, 3 and 4 and the superstar tail of ``scaling --boost``. A
+full comparison takes a few minutes.
 """
 from __future__ import annotations
 
@@ -62,6 +63,8 @@ CASES = [
                       "--format", ALL], ()),
     ("scaling single rho", ["scaling", "--rho", "0.5", "--samples", "40",
                             "--max-size", "5", "--out", OUT], ()),
+    ("scaling boost", ["scaling", "--rho", "0.4,0.6", "--samples", "40", "--max-size", "6",
+                       "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
     ("analyze csv", ["analyze", workloads.SCORES, "--threads", "2", "--out", OUT,
                      "--format", ALL], (f"seed0/{workloads.SCORES}",)),
     ("analyze json", ["analyze", "scores.json", "--out", OUT, "--format", "json"],
