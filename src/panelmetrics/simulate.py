@@ -232,21 +232,24 @@ def panel_precision_scan(
 
     For every panel size, draws random subsets of scorers without
     replacement, scores each candidate by the subset mean, and measures
-    precision against y_true. The subset means are computed as one
-    matrix product with a sparse 0/1-weight matrix; ``top_hits`` then
-    counts each sample's top set in blocks of columns, with the same
-    lowest-index tie-break as the precision module. The product is never
-    split by samples: on some BLAS builds a narrow column slice of the
-    weights gives different last bits than the same columns of the full
-    product.
+    precision against y_true. The subsets of one size come from one
+    bounded-integer draw that replays ``Generator.choice``'s stream
+    (``_panel_weights``), so they are the subsets a ``choice`` call per
+    sample would give, as long as numpy keeps ``choice``'s algorithm.
+    The subset means are computed as one matrix product with a sparse
+    0/1-weight matrix; ``top_hits`` then counts each sample's top set in
+    blocks of columns, with the same lowest-index tie-break as the
+    precision module. The product is never split by samples: on some
+    BLAS builds a narrow column slice of the weights gives different last
+    bits than the same columns of the full product.
     """
     m, n_ais = u.scores.shape
     if sizes is None:
         sizes = tuple(range(1, min(30, n_ais) + 1))
     else:
         sizes = tuple(int(k) for k in sizes)
-    if any(k < 1 or k > n_ais for k in sizes):
-        raise DomainError(f"panel sizes must lie in 1..{n_ais}")
+    if not sizes or any(k < 1 or k > n_ais for k in sizes):
+        raise DomainError(f"panel sizes must be a non-empty selection of 1..{n_ais}")
     if samples_per_size < 1:
         raise DomainError("samples_per_size must be at least 1")
 
@@ -256,9 +259,7 @@ def panel_precision_scan(
     g = stream.generator()
     avg = np.empty(len(sizes))
     for i, k in enumerate(sizes):
-        weights = np.zeros((n_ais, samples_per_size))
-        for j in range(samples_per_size):
-            weights[g.choice(n_ais, k, replace=False), j] = 1.0 / k
+        weights = _panel_weights(g, n_ais, k, samples_per_size)
         estimates = u.scores @ weights
         del weights
         hits = sum(
@@ -269,6 +270,36 @@ def panel_precision_scan(
         avg[i] = hits / (ksel * samples_per_size)
 
     return PanelScanResult(avg, fit_exponent_b(sizes, avg, u.measured_rho, q))
+
+
+def _panel_weights(
+    g: np.random.Generator, n_ais: int, k: int, samples: int
+) -> np.ndarray:
+    """n_ais x samples weights: 1/k on each column's random k scorers, else 0.
+
+    Bit for bit the weights of one ``g.choice(n_ais, k, replace=False)``
+    per column, leaving g where those calls would. choice draws Floyd's
+    picks in [0, j] for j = n_ais-k .. n_ais-1, then shuffles them with
+    draws in [0, i] for i = k-1 .. 1; none of these bounds depends on a
+    drawn value, so one ``integers`` call makes every sample's draws and
+    Floyd's rule (a pick already taken in its row becomes j) is replayed
+    column by column. The shuffle draws are only consumed: the weights
+    need the set, not its order.
+    """
+    weights = np.zeros((n_ais, samples))
+    # numpy's choice tail-shuffles an arange instead of running Floyd's
+    # algorithm when n_ais > 10000 and k > n_ais // 50
+    if n_ais > 10000 and k > n_ais // 50:
+        for j in range(samples):
+            weights[g.choice(n_ais, k, replace=False), j] = 1.0 / k
+        return weights
+    floyd = np.arange(n_ais - k, n_ais)
+    bounds = np.tile(np.concatenate([floyd, np.arange(k - 1, 0, -1)]), samples)
+    picks = g.integers(0, bounds, endpoint=True).reshape(samples, -1)[:, :k]
+    for c, j in enumerate(floyd):
+        picks[(picks[:, :c] == picks[:, c : c + 1]).any(axis=1), c] = j
+    weights[picks, np.arange(samples)[:, None]] = 1.0 / k
+    return weights
 
 
 def fit_exponent_b(

@@ -278,6 +278,12 @@ class TestScaling:
         doc = json.loads((out / "b_grid.json").read_text())
         assert len(doc["regression_errors"]) == 1
 
+    @pytest.mark.parametrize("max_size", ["0", "-3"])
+    def test_no_panel_sizes_exits_2(self, capsys, max_size):
+        rc = main([*SCALING_SMALL, f"--max-size={max_size}"])
+        assert rc == 2
+        assert "error: panel sizes must be a non-empty" in capsys.readouterr().err
+
 
 def write_fixture_table(path, seed=90, m=40, n_ai=4, names=("alpha", "beta")):
     from panelmetrics.streams import SeededStream

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from panelmetrics import simulate
 from panelmetrics.errors import ConfigError, DomainError
@@ -148,6 +149,44 @@ class TestPanelPrecisionScan:
             panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[0])
         with pytest.raises(DomainError):
             panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[21])
+        with pytest.raises(DomainError, match="panel sizes must be a non-empty"):
+            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[])
+
+
+def choice_weights(g, n, k, samples):
+    """The panel draw as one Generator.choice call per sample."""
+    weights = np.zeros((n, samples))
+    for j in range(samples):
+        weights[g.choice(n, k, replace=False), j] = 1.0 / k
+    return weights
+
+
+@st.composite
+def panel_draws(draw):
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, n))
+    return n, k, draw(st.integers(1, 40)), draw(st.integers(0, 2**63 - 1))
+
+
+class TestPanelWeights:
+    """The one-draw panel weights against a choice call per sample.
+
+    Fails if a numpy release changes how Generator.choice draws a set
+    without replacement.
+    """
+
+    @given(panel_draws())
+    @example((9, 9, 6, 1))  # k = n: Floyd's first bound is 0 and draws nothing
+    @example((9, 1, 6, 2))  # k = 1: no shuffle draws
+    @example((10001, 200, 3, 3))  # largest k numpy's choice runs Floyd's algorithm for
+    @example((10001, 201, 3, 4))  # tail-shuffle regime: one choice call per sample
+    @settings(deadline=None)
+    def test_replays_choice(self, case):
+        n, k, samples, seed = case
+        g, g_ref = SeededStream(seed).generator(), SeededStream(seed).generator()
+        weights = simulate._panel_weights(g, n, k, samples)
+        assert weights.tobytes() == choice_weights(g_ref, n, k, samples).tobytes()
+        assert g.random() == g_ref.random()
 
 
 def argsort_scan(u, q, stream, sizes, samples):
@@ -158,9 +197,7 @@ def argsort_scan(u, q, stream, sizes, samples):
     g = stream.generator()
     avg = []
     for k in sizes:
-        weights = np.zeros((n, samples))
-        for j in range(samples):
-            weights[g.choice(n, k, replace=False), j] = 1.0 / k
+        weights = choice_weights(g, n, k, samples)
         top = np.argsort(-(u.scores @ weights), axis=0, kind="stable")[:ksel]
         avg.append(true_mask[top].sum() / (ksel * samples))
     return np.array(avg)
@@ -185,7 +222,7 @@ class TestScanMatchesArgsort:
         ],
     )
     def test_bit_identical(self, rounded_universe, samples):
-        sizes = [1, 2, 5]
+        sizes = [1, 2, 5, 19, 20]
         scan = panel_precision_scan(
             rounded_universe, 0.2, SeededStream(24), sizes, samples
         )
