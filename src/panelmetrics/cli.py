@@ -461,9 +461,8 @@ def cmd_analyze(args) -> int:
     for level, stats in report.summary.by_attr.items():
         print(f"  {level}: mean={stats.mean:.2f} sd={stats.sd:.2f} (n={stats.count})")
     for vq in (report.variance_weighted, report.variance_unweighted):
-        print(
-            f"variance-quality ({vq.truth_mode}): r={fmt6(vq.r)} p={fmt6(vq.p_value)}"
-        )
+        r, p = ("undefined",) * 2 if vq.r is None else (fmt6(vq.r), fmt6(vq.p_value))
+        print(f"variance-quality ({vq.truth_mode}): r={r} p={p}")
 
     # The table rows are generators, consumed only when their file is
     # written, so no table is held in memory while report.json is built.

@@ -231,22 +231,19 @@ def save_scores(table: ScoreTable, path: str | Path) -> None:
                 )
 
 
-def optimal_weights(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading-eigenvector weights and the weighted proxy truth.
+def optimal_weights(corr: np.ndarray) -> np.ndarray:
+    """Leading-eigenvector scorer weights of a correlation matrix.
 
     Weights are proportional to the eigenvector of the largest eigenvalue
-    of the inter-scorer correlation matrix (``np.linalg.eigh``),
-    normalized to sum 1, then applied to the raw columns. When every
-    correlation is positive the eigenvector is entrywise positive
-    (Perron-Frobenius) and the weights are a proper mixture; a column
-    that would get a negative weight raises DomainError instead.
+    of ``corr`` (``np.linalg.eigh``), normalized to sum 1; the proxy
+    truth is the raw score matrix times them. When every correlation is
+    positive the eigenvector is entrywise positive (Perron-Frobenius) and
+    the weights are a proper mixture; a column that would get a negative
+    weight raises DomainError instead.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] < 2:
-        raise DomainError("need a 2-d matrix with at least 2 columns")
-    std = standardize(matrix)
-    corr = (std.T @ std) / std.shape[0]
-
+    corr = np.asarray(corr, dtype=float)
+    if corr.ndim != 2 or corr.shape[0] != corr.shape[1] or corr.shape[0] < 2:
+        raise DomainError("need a square correlation matrix of at least 2 columns")
     _, vectors = np.linalg.eigh(corr)  # eigenvalues ascending
     vec = vectors[:, -1]
     if vec.sum() < 0:
@@ -259,8 +256,7 @@ def optimal_weights(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"its leading-eigenvector weight is {weights[col]:.3g}, so the "
             "weights are not a mixture"
         )
-    proxy = matrix @ weights
-    return weights, proxy
+    return weights
 
 
 def pairwise_correlations(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -446,8 +442,8 @@ class VarianceQualityRow:
 class VarianceQualityResult:
     truth_mode: str
     rows: list[VarianceQualityRow]
-    r: float
-    p_value: float
+    r: float | None  # None when the variances or the correlations are all equal
+    p_value: float | None
 
 
 def variance_quality(
@@ -460,7 +456,8 @@ def variance_quality(
     names the proxy: "weighted" for the optimal-weight proxy,
     "unweighted" for the plain column mean. Across all rows, the global
     Pearson r between variance and correlation, with a two-sided
-    Student-t p-value on n - 2 degrees of freedom.
+    Student-t p-value on n - 2 degrees of freedom; both are None when
+    either quantity is the same in every row.
     """
     if truth_mode not in ("weighted", "unweighted"):
         raise DomainError(f"truth_mode must be weighted or unweighted, got {truth_mode!r}")
@@ -468,22 +465,20 @@ def variance_quality(
         raise DomainError("need one truth vector per task")
     rows: list[VarianceQualityRow] = []
     for task, truth in zip(table.tasks, truths):
-        mat = task.matrix
-        for i, ai in enumerate(table.ai_names):
-            col = mat[:, i]
-            rows.append(
-                VarianceQualityRow(
-                    task=task.name,
-                    ai=ai,
-                    variance=float(col.var()),
-                    corr_with_truth=float(np.corrcoef(col, truth)[0, 1]),
-                )
-            )
+        # one Pearson pass per task: the truth joins as the last column
+        corr, _ = correlation_summary(np.column_stack([task.matrix, truth]))
+        for ai, col, c in zip(table.ai_names, task.matrix.T, corr[:-1, -1]):
+            rows.append(VarianceQualityRow(task.name, ai, float(col.var()), float(c)))
     if len(rows) < 3:
         raise DomainError("need at least 3 (task, scorer) rows for the global test")
     var = np.array([row.variance for row in rows])
     cor = np.array([row.corr_with_truth for row in rows])
-    r = float(np.corrcoef(var, cor)[0, 1])
+    try:
+        r = float(correlation_summary(np.column_stack([var, cor]))[0][0, 1])
+    except DomainError:
+        # a constant column, as when every scorer ranks the candidates 1..m
+        # and so has the same variance: the test is undefined
+        return VarianceQualityResult(truth_mode, rows, None, None)
     n = len(rows)
     if abs(r) >= 1.0:
         p = 0.0
@@ -533,7 +528,8 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
         mat = task.matrix
         m, n_ai = mat.shape
         corr, rho_bar = pairwise_correlations(mat)
-        weights, proxy = optimal_weights(mat)
+        weights = optimal_weights(corr)
+        proxy = mat @ weights
         proxies.append(proxy)
         q_grid = np.linspace(1.0 / m, 1.0, q_points)
         curves, avg_curve = per_ai_precision_curves(mat, proxy, q_grid)

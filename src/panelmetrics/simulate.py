@@ -244,16 +244,7 @@ def panel_precision_scan(
     bits than the same columns of the full product.
     """
     m, n_ais = u.scores.shape
-    if sizes is None:
-        sizes = tuple(range(1, min(30, n_ais) + 1))
-    else:
-        sizes = tuple(int(k) for k in sizes)
-    if not sizes or any(k < 1 or k > n_ais for k in sizes):
-        raise DomainError(f"panel sizes must be a non-empty selection of 1..{n_ais}")
-    if samples_per_size < 1:
-        raise DomainError("samples_per_size must be at least 1")
-
-    ksel = top_count(q, m)
+    sizes, ksel = _scan_plan(n_ais, m, q, sizes, samples_per_size)
     true_mask = stable_rank(u.y_true) <= ksel
 
     g = stream.generator()
@@ -270,6 +261,21 @@ def panel_precision_scan(
         avg[i] = hits / (ksel * samples_per_size)
 
     return PanelScanResult(avg, fit_exponent_b(sizes, avg, u.measured_rho, q))
+
+
+def _scan_plan(
+    n_ais: int, m: int, q: float, sizes: Sequence[int] | None, samples_per_size: int
+) -> tuple[tuple[int, ...], int]:
+    """The checked panel sizes and the top-set size of a scan."""
+    if sizes is None:
+        sizes = tuple(range(1, min(30, n_ais) + 1))
+    else:
+        sizes = tuple(int(k) for k in sizes)
+    if not sizes or any(k < 1 or k > n_ais for k in sizes):
+        raise DomainError(f"panel sizes must be a non-empty selection of 1..{n_ais}")
+    if samples_per_size < 1:
+        raise DomainError("samples_per_size must be at least 1")
+    return sizes, top_count(q, m)
 
 
 def _panel_weights(
@@ -341,27 +347,6 @@ def fit_exponent_b(
     return 0.5 * (lo + hi)
 
 
-def _run_cell(
-    q: float,
-    target_rho: float,
-    cfg: UniverseConfig,
-    cell_stream: SeededStream,
-    sizes: Sequence[int] | None,
-    samples_per_size: int,
-) -> BGridRow:
-    cell_cfg = dataclasses.replace(cfg, target_rho=target_rho)
-    universe = generate_universe(cell_cfg, cell_stream.derive(0))
-    scan = panel_precision_scan(
-        universe, q, cell_stream.derive(1), sizes, samples_per_size
-    )
-    return BGridRow(
-        q=q,
-        target_rho=target_rho,
-        measured_rho=universe.measured_rho,
-        best_b=scan.fitted_b,
-    )
-
-
 def b_grid_scan(
     q_values: Sequence[float],
     rho_targets: Sequence[float],
@@ -375,7 +360,8 @@ def b_grid_scan(
 
     Cell index runs rho-fastest. Each cell derives its own stream from
     (base_seed, cell index), so the table is identical for any thread
-    count and any execution order.
+    count and any execution order. Every cell's arguments are checked, in
+    cell order, before the first universe is drawn.
     """
     q_values = list(q_values)
     rho_targets = list(rho_targets)
@@ -385,15 +371,25 @@ def b_grid_scan(
         raise DomainError("threads must be at least 1")
 
     root = SeededStream(base_seed)
-    cells = [
-        (q, rho, root.derive(i_q * len(rho_targets) + i_r))
-        for i_q, q in enumerate(q_values)
-        for i_r, rho in enumerate(rho_targets)
-    ]
+    cells = []
+    for i_q, q in enumerate(q_values):
+        for i_r, rho in enumerate(rho_targets):
+            cell_cfg = dataclasses.replace(cfg, target_rho=rho)
+            _scan_plan(cfg.n_ais, cfg.m_candidates, q, sizes, samples_per_size)
+            cells.append((q, cell_cfg, root.derive(i_q * len(rho_targets) + i_r)))
 
     def run(cell):
-        q, rho, cell_stream = cell
-        return _run_cell(q, rho, cfg, cell_stream, sizes, samples_per_size)
+        q, cell_cfg, cell_stream = cell
+        universe = generate_universe(cell_cfg, cell_stream.derive(0))
+        scan = panel_precision_scan(
+            universe, q, cell_stream.derive(1), sizes, samples_per_size
+        )
+        return BGridRow(
+            q=q,
+            target_rho=cell_cfg.target_rho,
+            measured_rho=universe.measured_rho,
+            best_b=scan.fitted_b,
+        )
 
     if threads == 1:
         return [run(cell) for cell in cells]

@@ -199,12 +199,11 @@ def test_criterion_6_intercept_tracks_mean_correlation(equicorr_matrix):
     while len(intercepts) < 50:
         mat = equicorr_matrix(m, n_ai, 0.55, seed=seed)
         seed += 1
-        _, rho_bar = pairwise_correlations(mat)
+        corr, rho_bar = pairwise_correlations(mat)
         if abs(rho_bar - 0.55) > 0.02:
             skipped += 1
             continue
-        _, proxy = optimal_weights(mat)
-        _, avg_curve = per_ai_precision_curves(mat, proxy, grid)
+        _, avg_curve = per_ai_precision_curves(mat, mat @ optimal_weights(corr), grid)
         intercepts.append(constrained_intercept_fit(avg_curve))
         rho_bars.append(rho_bar)
     elapsed = time.perf_counter() - t0
@@ -302,7 +301,7 @@ def test_criterion_8_property_suite(equicorr_matrix):
     )
     checks["full_panel_precision_one"] = full.avg_precisions[0] == 1.0
 
-    weights, _ = optimal_weights(equicorr_matrix(300, 3, 0.5, seed=8))
+    weights = optimal_weights(pairwise_correlations(equicorr_matrix(300, 3, 0.5, seed=8))[0])
     checks["weights_sum_one"] = abs(weights.sum() - 1.0) <= 1e-9
 
     cfg0 = UniverseConfig(target_rho=0.5, n_ais=40, m_candidates=1000)

@@ -284,23 +284,49 @@ class TestScaling:
         assert rc == 2
         assert "error: panel sizes must be a non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--max-size", "0"], "panel sizes must be a non-empty selection of 1..100"),
+            (["--samples", "0"], "samples_per_size must be at least 1"),
+            (["--q", "0"], "q must lie in (0, 1]"),
+            (["--q", "0.2,1.5", "--rho", "0.4,0.5", "--samples", "50"], "q must lie in (0, 1]"),
+            (["--rho", "0.4,1.5"], "target_rho must lie strictly between 0 and 1"),
+        ],
+        ids=["max-size", "samples", "q", "second-q", "second-rho"],
+    )
+    def test_bad_cell_exits_2_before_any_universe(self, capsys, monkeypatch, argv, error):
+        from panelmetrics import simulate
 
-def write_fixture_table(path, seed=90, m=40, n_ai=4, names=("alpha", "beta")):
+        draws = []
+        monkeypatch.setattr(simulate, "generate_universe", lambda *a: draws.append(a))
+        assert main(["scaling", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert draws == []
+
+
+def write_fixture_table(
+    path, seed=90, m=40, n_ai=4, names=("alpha", "beta"), ranked=False
+):
+    """A table of correlated scorers; ``ranked`` replaces each column by
+    its ranks 1..m, so every column has the same variance."""
     from panelmetrics.streams import SeededStream
 
     g = SeededStream(seed, 31).generator()
 
     def task(name):
         common = g.standard_normal(m)
-        cols = [
+        cols = np.column_stack([
             7.0 + np.sqrt(0.5) * common + np.sqrt(0.5) * g.standard_normal(m)
             for _ in range(n_ai)
-        ]
+        ])
+        if ranked:
+            cols = np.argsort(np.argsort(cols, axis=0), axis=0) + 1.0
         return TaskScores(
             name=name,
             candidate_ids=tuple(f"c{j}" for j in range(m)),
             attrs=tuple("new" if j % 2 else "old" for j in range(m)),
-            matrix=np.column_stack(cols),
+            matrix=cols,
         )
 
     table = ScoreTable(
@@ -350,6 +376,21 @@ class TestAnalyze:
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["tasks"]) == 2
         assert doc["tasks"][0]["rho_bar"] == pytest.approx(0.5, abs=0.15)
+
+    def test_rank_scored_table_leaves_variance_quality_undefined(self, capsys, tmp_path):
+        src = tmp_path / "ranks.csv"
+        write_fixture_table(src, ranked=True)
+        out = tmp_path / "report"
+        assert main(["analyze", str(src), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "variance-quality (weighted): r=undefined p=undefined" in captured.out
+        assert "variance-quality (unweighted): r=undefined p=undefined" in captured.out
+        doc = json.loads((out / "report.json").read_text())
+        for mode in ("variance_weighted", "variance_unweighted"):
+            assert doc[mode]["r"] is None and doc[mode]["p_value"] is None
+        _, rows = read_csv_rows(out / "variance_quality.csv")
+        assert len({r[3] for r in rows}) == 1  # one variance for every column
 
     def test_missing_file_exits_4(self, capsys, tmp_path):
         rc = main(["analyze", str(tmp_path / "absent.csv")])
@@ -499,3 +540,65 @@ def test_format_selects_files_by_suffix(tmp_path, command, fmt):
     assert main([*argv, "--out", str(out), "--format", fmt]) == 0
     expected = {name for name in OUTPUT_FILES[command] if name.endswith(f".{fmt}")}
     assert {p.name for p in out.iterdir()} == expected | {"run.json"}
+
+
+AI_COLUMNS = ("p_ai_1", "p_ai_2", "p_ai_3", "p_ai_4")
+
+CSV_HEADERS = [
+    ("formula", "formula.csv", ("n", "b", "rho_n", "precision")),
+    ("plan", "plan.csv", ("q", "rho", "target", "n_max", "required_n", "achieved_precision")),
+    (
+        "curves",
+        "curves.csv",
+        ("q", "p_normal", "p_lognormal", "p_pareto", "p_student_t", "reference"),
+    ),
+    (
+        "curves",
+        "anchors.csv",
+        ("q_anchor", "normal_limit", "t_limit", "heavy_tail_estimate", "p_avg_02"),
+    ),
+    ("scaling", "b_grid.csv", ("q", "target_rho", "measured_rho", "best_b")),
+    ("scaling", "regression.csv", ("q", "slope", "intercept", "r_squared")),
+    ("analyze", "tasks.csv", ("task", "rho_bar", "intercept", "intercept_vs_rho_pct")),
+    (
+        "analyze",
+        "subsets.csv",
+        ("task", "size", "n_subsets", "avg_intercept", "improvement_pct"),
+    ),
+    (
+        "analyze",
+        "spearman_brown.csv",
+        ("task", "size", "observed", "predicted", "pct_pred_vs_obs", "pct_obs_vs_pred"),
+    ),
+    ("analyze", "curves.csv", ("task", "q", "p_avg", *AI_COLUMNS)),
+    ("analyze", "qq.csv", ("theoretical", "sample")),
+    (
+        "analyze",
+        "variance_quality.csv",
+        ("truth_mode", "task", "ai", "variance", "corr_with_truth"),
+    ),
+]
+
+
+def test_csv_headers_cover_every_csv_file():
+    pinned = {(command, name) for command, name, _ in CSV_HEADERS}
+    assert pinned == {
+        (command, name)
+        for command, names in OUTPUT_FILES.items()
+        for name in names
+        if name.endswith(".csv")
+    }
+
+
+@pytest.mark.parametrize(
+    "command, name, header", CSV_HEADERS, ids=[f"{c}-{n}" for c, n, _ in CSV_HEADERS]
+)
+def test_csv_header(tmp_path, command, name, header):
+    argv = list(SMALL_RUNS[command])
+    if command == "analyze":
+        src = tmp_path / "scores.csv"
+        write_fixture_table(src)
+        argv.append(str(src))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--format", "csv"]) == 0
+    assert (out / name).read_text().splitlines()[0] == ",".join(header)

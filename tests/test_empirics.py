@@ -131,6 +131,11 @@ class TestLoadSaveScores:
             load_scores(path)
 
 
+def weights_of(matrix):
+    """The weights build_report gives a task's score matrix."""
+    return optimal_weights(pairwise_correlations(matrix)[0])
+
+
 class TestOptimalWeights:
     def test_two_symmetric_scorers(self):
         g = SeededStream(40).generator()
@@ -138,35 +143,38 @@ class TestOptimalWeights:
         mat = np.column_stack(
             [v + g.standard_normal(500), v + g.standard_normal(500)]
         )
-        weights, proxy = optimal_weights(mat)
+        weights = weights_of(mat)
         assert weights == pytest.approx([0.5, 0.5], abs=1e-9)
-        assert np.allclose(proxy, mat @ weights)
 
     def test_exchangeable_columns_near_uniform(self, equicorr_matrix):
         mat = equicorr_matrix(4000, 5, 0.55, seed=41)
-        weights, _ = optimal_weights(mat)
+        weights = weights_of(mat)
         assert np.max(np.abs(weights - 0.2)) < 0.02
 
     def test_weights_sum_to_one(self, equicorr_matrix):
         for seed in range(5):
-            weights, _ = optimal_weights(equicorr_matrix(300, 4, 0.5, seed=seed))
+            weights = weights_of(equicorr_matrix(300, 4, 0.5, seed=seed))
             assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_column_rescaling_leaves_weights_alone(self, equicorr_matrix):
         mat = equicorr_matrix(500, 4, 0.5, seed=42)
         scaled = mat.copy()
         scaled[:, 2] *= 4.0  # power of two keeps the standardization exact
-        w_base, _ = optimal_weights(mat)
-        w_scaled, _ = optimal_weights(scaled)
+        w_base = weights_of(mat)
+        w_scaled = weights_of(scaled)
         assert w_scaled == pytest.approx(w_base, abs=1e-12)
 
     def test_constant_column_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="constant column"):
+            weights_of(np.column_stack([np.ones(10), np.arange(10.0)]))
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(DomainError, match="square correlation matrix"):
             optimal_weights(np.column_stack([np.ones(10), np.arange(10.0)]))
 
     def test_negatively_correlated_column_rejected(self, negative_scorer_matrix):
         with pytest.raises(DomainError, match="scorer column 3 correlates negatively"):
-            optimal_weights(negative_scorer_matrix)
+            weights_of(negative_scorer_matrix)
 
 
 class TestPairwiseCorrelations:
@@ -241,15 +249,14 @@ class TestPanelSubsetAnalysis:
 
     def test_subset_counts(self, equicorr_matrix):
         mat = equicorr_matrix(80, 5, 0.5)
-        _, proxy = optimal_weights(mat)
-        rows = panel_subset_analysis(mat, proxy, sizes=(2, 3, 4))
+        rows = panel_subset_analysis(mat, mat @ weights_of(mat), sizes=(2, 3, 4))
         assert [r.n_subsets for r in rows] == [10, 10, 5]
         assert rows[0].improvement_pct is None
         assert rows[1].improvement_pct is not None
 
     def test_size_one_matches_per_ai_average(self, equicorr_matrix):
         mat = equicorr_matrix(120, 4, 0.5, seed=3)
-        _, proxy = optimal_weights(mat)
+        proxy = mat @ weights_of(mat)
         grid = np.linspace(1 / 120, 1.0, 30)
         rows = panel_subset_analysis(mat, proxy, sizes=(1,), q_grid=grid)
         _, avg_curve = per_ai_precision_curves(mat, proxy, grid)
@@ -331,7 +338,7 @@ class TestQQData:
 def truths_for(table, mode):
     """The per-task truths that build_report passes for a truth mode."""
     if mode == "weighted":
-        return [optimal_weights(t.matrix)[1] for t in table.tasks]
+        return [t.matrix @ weights_of(t.matrix) for t in table.tasks]
     return [t.matrix.mean(axis=1) for t in table.tasks]
 
 
@@ -372,6 +379,15 @@ class TestVarianceQuality:
         mat = SeededStream(71).generator().normal(size=(30, 2))
         with pytest.raises(DomainError):
             run_variance_quality(make_table(mat), "unweighted")
+
+    def test_rank_scored_table_gives_undefined_r(self, equicorr_matrix):
+        ranks = np.argsort(np.argsort(equicorr_matrix(50, 4, 0.5, seed=72), axis=0), axis=0)
+        table = make_table(ranks + 1.0)
+        with np.errstate(all="raise"):
+            result = run_variance_quality(table, "weighted")
+        assert result.r is None and result.p_value is None
+        assert len({row.variance for row in result.rows}) == 1
+        assert all(0.0 < row.corr_with_truth < 1.0 for row in result.rows)
 
     def test_one_truth_per_task(self):
         table = self._table()
@@ -425,6 +441,25 @@ class TestBuildReport:
         assert [r.size for r in report.tasks[0].subset_rows] == [2]
         assert [r.size for r in report.tasks[0].sb_rows] == [2]
 
+    def test_one_correlation_pass(self, equicorr_matrix, monkeypatch):
+        table = ScoreTable(
+            ai_names=tuple(f"a{i}" for i in range(8)),
+            tasks=tuple(
+                make_table(equicorr_matrix(60, 8, 0.5, seed=83 + t), name=f"t{t}").tasks[0]
+                for t in range(3)
+            ),
+        )
+        calls = []
+        corrcoef = np.corrcoef
+        monkeypatch.setattr(np, "corrcoef", lambda *a, **k: calls.append(1) or corrcoef(*a, **k))
+        report = build_report(table, q_points=10)
+        # per task: the scorer matrix and one per truth mode; then one global r per mode
+        assert len(calls) == 3 * (1 + 2) + 2
+        for task in report.tasks:
+            vec = np.linalg.eigh(task.correlation)[1][:, -1]
+            vec = -vec if vec.sum() < 0 else vec
+            assert np.array_equal(task.weights, vec / vec.sum())
+
     def test_weights_computed_once_per_task(self, monkeypatch):
         g = SeededStream(82).generator()
         v = g.standard_normal((2, 50, 1))
@@ -437,9 +472,9 @@ class TestBuildReport:
         )
         calls = []
 
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return optimal_weights(matrix)
+        def counting(corr):
+            calls.append(corr.shape)
+            return optimal_weights(corr)
 
         monkeypatch.setattr(empirics, "optimal_weights", counting)
         report = build_report(table, q_points=10)

@@ -13,11 +13,12 @@ case differs, 0 otherwise.
 
 The cases are the four benchmark workloads (``perfbench/workloads.py``)
 at seeds 0-2, then small runs of every command, including the paths
-that exit 2, 3 and 4 and the superstar tail of ``scaling --boost``. A
-full comparison takes a few minutes.
+that exit 2, 3 and 4, the superstar tail of ``scaling --boost`` and a
+table whose scorers all give ranks. A full comparison takes a few minutes.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -25,6 +26,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -63,6 +66,8 @@ CASES = [
                       "--format", ALL], ()),
     ("scaling single rho", ["scaling", "--rho", "0.5", "--samples", "40",
                             "--max-size", "5", "--out", OUT], ()),
+    ("scaling exit 2 at second q", ["scaling", "--q", "0.2,1.5", "--samples", "20",
+                                    "--max-size", "4"], ()),
     ("scaling boost", ["scaling", "--rho", "0.4,0.6", "--samples", "40", "--max-size", "6",
                        "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
     ("analyze csv", ["analyze", workloads.SCORES, "--threads", "2", "--out", OUT,
@@ -71,6 +76,8 @@ CASES = [
      ("seed0/scores.json",)),
     ("analyze json 20 points", ["analyze", "scores.json", "--q-points", "20",
                                 "--out", OUT, "--format", ALL], ("seed0/scores.json",)),
+    ("analyze rank-scored", ["analyze", "ranks.csv", "--out", OUT, "--format", ALL],
+     ("ranks.csv",)),
     ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
     ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
 ]
@@ -79,12 +86,19 @@ RUNNER = "import sys; from panelmetrics.cli import main; sys.exit(main(sys.argv[
 
 
 def write_inputs(inputs: Path) -> None:
-    """The analyze tables (seeds 0-2 as CSV, seed 0 also as JSON) and a bad CSV."""
+    """The analyze tables (seeds 0-2 as CSV, seed 0 also as JSON and with
+    each column replaced by its ranks 1..m) and a bad CSV."""
     for seed in range(3):
         (inputs / f"seed{seed}").mkdir(parents=True)
         workloads.write_inputs("analyze", seed, inputs / f"seed{seed}")
     table = load_scores(inputs / "seed0" / workloads.SCORES)
     save_scores(table, inputs / "seed0" / "scores.json")
+    ranked = [
+        dataclasses.replace(task, matrix=np.argsort(np.argsort(
+            task.matrix, axis=0, kind="stable"), axis=0) + 1.0)
+        for task in table.tasks
+    ]
+    save_scores(dataclasses.replace(table, tasks=tuple(ranked)), inputs / "ranks.csv")
     (inputs / "bad.csv").write_text("task,candidate_id,attr,ai_1,ai_2\na,c0,,1.0,oops\n")
 
 
