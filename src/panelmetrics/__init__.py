@@ -33,7 +33,7 @@ from .precision import (
     precision_at_q,
     precision_curve,
 )
-from .streams import DistributionSpec, SeededStream, TailTransform
+from .streams import DistributionSpec, SeededStream
 
 __all__ = [
     "__version__",
@@ -55,5 +55,4 @@ __all__ = [
     "precision_curve",
     "SeededStream",
     "DistributionSpec",
-    "TailTransform",
 ]

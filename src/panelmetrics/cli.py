@@ -46,7 +46,7 @@ from .simulate import (
     regress_b_on_rho,
     simulate_distribution_curve,
 )
-from .streams import DISTRIBUTION_KINDS, DistributionSpec, SeededStream, TailTransform
+from .streams import DISTRIBUTION_KINDS, DistributionSpec, SeededStream
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -58,11 +58,15 @@ def _parse_int_list(text: str) -> list[int]:
         if hi_i < lo_i:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return list(range(lo_i, hi_i + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    return _parse_list(text, int)
 
 
 def _parse_float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
+    return _parse_list(text, float)
+
+
+def _parse_list(text: str, kind: type) -> list:
+    values = [kind(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
@@ -376,7 +380,7 @@ def cmd_scaling(args) -> int:
         target_rho=args.rho[0],
         n_ais=preset.n_ais,
         m_candidates=preset.m_candidates,
-        tail=TailTransform(boost=args.boost),
+        boost=args.boost,
     )
     max_size = preset.max_size if args.max_size is None else args.max_size
     samples = preset.samples_per_size if args.samples is None else args.samples

@@ -24,7 +24,6 @@ from .precision import precision_curve, stable_rank, top_count, top_hits
 from .streams import (
     DistributionSpec,
     SeededStream,
-    TailTransform,
     add_calibrated_noise,
     sample_signal,
     standardize,
@@ -55,6 +54,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # samples per top_hits call in panel_precision_scan: bounds the partition's
 # m x block temporaries without changing any count
 _SCAN_BLOCK = 512
+# the universe model's fixed shape: spread of the scorers' signal shares,
+# correlation of share and scale shocks, range and sd of the score scales,
+# and the score mean
+_SIG_RHO = 0.05
+_RHO_SIG_CORR = 0.78
+_SCALE_MIN, _SCALE_MAX = 0.2, 1.2
+_SCALE_SD = 0.2
+_T_MEAN = 7.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,21 +70,15 @@ class UniverseConfig:
 
     Each scorer i gets a latent share r_i of common signal and a score
     scale s_i, drawn jointly so that higher-correlation scorers tend to
-    spread their scores more (rho_sig_corr). Scores are built from a
-    shared factor, optionally tail-boosted, standardized, then mapped
-    onto the s_i scale around t_mean.
+    spread their scores more. Scores are built from a shared factor,
+    tail-boosted by ``boost`` (0 disables), standardized, then mapped
+    onto the s_i scale around 7.
     """
 
     target_rho: float
     n_ais: int = 100
     m_candidates: int = 2000
-    sig_rho: float = 0.05
-    rho_sig_corr: float = 0.78
-    scale_min: float = 0.2
-    scale_max: float = 1.2
-    scale_sd: float = 0.2
-    t_mean: float = 7.0
-    tail: TailTransform = TailTransform()
+    boost: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_rho < 1.0:
@@ -86,12 +87,8 @@ class UniverseConfig:
             raise ConfigError("need at least 2 scorers")
         if self.m_candidates < 2:
             raise ConfigError("need at least 2 candidates")
-        if self.sig_rho < 0 or self.scale_sd < 0:
-            raise ConfigError("spread parameters must be non-negative")
-        if not -1.0 <= self.rho_sig_corr <= 1.0:
-            raise ConfigError("rho_sig_corr must lie in [-1, 1]")
-        if not self.scale_min < self.scale_max:
-            raise ConfigError("scale_min must be below scale_max")
+        if not 0.0 <= self.boost < math.inf:
+            raise ConfigError("boost must be finite and non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,28 +170,32 @@ def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> Universe:
     """Draw one universe: per-scorer (r_i, s_i), then the score matrix.
 
     (r_i, s_i) come from a bivariate normal written in conditional form
-    (s_i regressed on the same shock as r_i), which behaves at
-    sig_rho = 0 where a covariance factorization would not. Column i is
+    (s_i regressed on the same shock as r_i). Column i is
     sqrt(r_i) * Z_common + sqrt(1 - r_i) * Z_i, so two columns with
-    shares r correlate at about r before the tail transform.
+    shares r correlate at about r before the tail transform. A boost so
+    large that the boosted columns' sd overflows raises DomainError.
     """
     g = stream.generator()
     n, m = cfg.n_ais, cfg.m_candidates
 
     e0 = g.standard_normal(n)
     e1 = g.standard_normal(n)
-    r = np.clip(cfg.target_rho + cfg.sig_rho * e0, *_R_CLIP)
-    c = cfg.rho_sig_corr
-    s_center = 0.5 * (cfg.scale_min + cfg.scale_max)
+    r = np.clip(cfg.target_rho + _SIG_RHO * e0, *_R_CLIP)
+    c = _RHO_SIG_CORR
+    s_center = 0.5 * (_SCALE_MIN + _SCALE_MAX)
     s_shock = c * e0 + math.sqrt(1.0 - c * c) * e1
-    s = np.clip(s_center + cfg.scale_sd * s_shock, cfg.scale_min, cfg.scale_max)
+    s = np.clip(s_center + _SCALE_SD * s_shock, _SCALE_MIN, _SCALE_MAX)
 
     z_common = g.standard_normal(m)
     z_own = g.standard_normal((m, n))
     raw = np.sqrt(r)[None, :] * z_common[:, None] + np.sqrt(1.0 - r)[None, :] * z_own
-    raw = superstar_transform(raw, cfg.tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = superstar_transform(raw, cfg.boost)
+        finite = cfg.boost == 0 or np.isfinite(raw.std(axis=0)).all()
+    if not finite:
+        raise DomainError(f"boost {cfg.boost:g} overflows the tail transform")
 
-    scores = standardize(raw) * s[None, :] + cfg.t_mean
+    scores = standardize(raw) * s[None, :] + _T_MEAN
 
     y_true = scores.mean(axis=1)
     return Universe(
@@ -209,7 +210,10 @@ def correlation_summary(scores: np.ndarray) -> tuple[np.ndarray, float]:
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] < 2:
         raise DomainError("need a 2-d matrix with at least 2 columns")
-    if np.any(scores.std(axis=0) == 0.0):
+    # max == min finds a repeated value whose computed sd is not exactly 0;
+    # sd == 0 finds a spread too small for its square to be represented
+    constant = scores.max(axis=0) == scores.min(axis=0)
+    if np.any(constant | (scores.std(axis=0) == 0.0)):
         raise DomainError("constant column has undefined correlation")
     corr = np.corrcoef(scores, rowvar=False)
     n = corr.shape[0]

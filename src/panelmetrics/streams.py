@@ -22,7 +22,6 @@ __all__ = [
     "SeededStream",
     "DISTRIBUTION_KINDS",
     "DistributionSpec",
-    "TailTransform",
     "sample_signal",
     "add_calibrated_noise",
     "superstar_transform",
@@ -31,6 +30,11 @@ __all__ = [
 
 #: signal distributions, in the order of the ``curves`` columns and streams
 DISTRIBUTION_KINDS = ("normal", "lognormal", "pareto", "student_t")
+
+# the superstar tail transform's fixed shape: where the boost starts and how
+# sharply it turns on
+_KINK = 1.6
+_SHARPNESS = 3.0
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -74,12 +78,12 @@ class SeededStream:
 class DistributionSpec:
     """Signal distribution for synthetic candidate quality.
 
-    ``pareto_shape`` and ``t_dof`` must exceed 2 so the signal has finite
-    variance; the additive-noise calibration divides by its sample sd.
+    ``t_dof`` must exceed 2 so the signal has finite variance; the
+    additive-noise calibration divides by its sample sd. The Pareto
+    signal has shape 3 for the same reason.
     """
 
     kind: str
-    pareto_shape: float = 3.0
     t_dof: float = 4.0
 
     def __post_init__(self) -> None:
@@ -88,25 +92,8 @@ class DistributionSpec:
                 f"unknown distribution kind {self.kind!r}; "
                 f"expected one of {DISTRIBUTION_KINDS}"
             )
-        if not self.pareto_shape > 2:
-            raise ConfigError("pareto_shape must exceed 2 (finite variance)")
         if not self.t_dof > 2:
             raise ConfigError("t_dof must exceed 2 (finite variance)")
-
-
-@dataclasses.dataclass(frozen=True)
-class TailTransform:
-    """Smooth upper-tail boost giving a configurable superstar effect."""
-
-    kink: float = 1.6
-    boost: float = 0.0
-    sharpness: float = 3.0
-
-    def __post_init__(self) -> None:
-        if not self.sharpness > 0:
-            raise ConfigError("sharpness must be positive")
-        if self.boost < 0:
-            raise ConfigError("boost must be non-negative")
 
 
 def sample_signal(dist: DistributionSpec, m: int, stream: SeededStream) -> np.ndarray:
@@ -120,7 +107,7 @@ def sample_signal(dist: DistributionSpec, m: int, stream: SeededStream) -> np.nd
         return g.lognormal(0.0, 1.0, m)
     if dist.kind == "pareto":
         # numpy's pareto is the Lomax form; the shift restores support [1, inf)
-        return 1.0 + g.pareto(dist.pareto_shape, m)
+        return 1.0 + g.pareto(3.0, m)
     if dist.kind == "student_t":
         # handles non-integer dof via the normal / chi-square ratio
         return g.standard_t(dist.t_dof, m)
@@ -150,16 +137,18 @@ def add_calibrated_noise(
     return nu + g.standard_normal(nu.size) * noise_sd
 
 
-def superstar_transform(z: np.ndarray, t: TailTransform) -> np.ndarray:
+def superstar_transform(z: np.ndarray, boost: float) -> np.ndarray:
     """Apply the smooth tail boost elementwise; identity when boost is 0.
 
+    Each value gains ``boost`` times a softplus of its excess over the
+    kink, so values well above 1.6 rise by about ``boost * (z - 1.6)``.
     Uses logaddexp so the softplus term cannot overflow for large z.
     """
     z = np.array(z, dtype=float)
-    if t.boost == 0:
+    if boost == 0:
         return z
-    excess = np.logaddexp(0.0, t.sharpness * (z - t.kink)) / t.sharpness
-    return z + t.boost * excess
+    excess = np.logaddexp(0.0, _SHARPNESS * (z - _KINK)) / _SHARPNESS
+    return z + boost * excess
 
 
 def standardize(x: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ from panelmetrics.special import (
 from panelmetrics.streams import (
     DistributionSpec,
     SeededStream,
-    TailTransform,
     add_calibrated_noise,
     sample_signal,
 )
@@ -305,7 +304,7 @@ def test_criterion_8_property_suite(equicorr_matrix):
     checks["weights_sum_one"] = abs(weights.sum() - 1.0) <= 1e-9
 
     cfg0 = UniverseConfig(target_rho=0.5, n_ais=40, m_candidates=1000)
-    cfg1 = dataclasses.replace(cfg0, tail=TailTransform(boost=1.0))
+    cfg1 = dataclasses.replace(cfg0, boost=1.0)
     b_pair = []
     for cfg in (cfg0, cfg1):
         universe = generate_universe(cfg, SeededStream(0, 5))

