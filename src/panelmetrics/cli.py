@@ -72,6 +72,16 @@ def _parse_list(text: str, kind: type) -> list:
     return values
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError("threads must be at least 1")
+    return threads
+
+
 def _parse_formats(text: str) -> list[str]:
     formats = [part.strip() for part in text.split(",") if part.strip()]
     bad = [f for f in formats if f not in ("csv", "json", "svg")]
@@ -84,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for grid scans"
+        "--threads", type=_parse_threads, default=1, help="worker threads for grid scans"
     )
     common.add_argument(
         "--out", type=Path, default=None, help="output directory for result files"

@@ -129,6 +129,30 @@ class TestTopLevel:
             main(["formula", "--q", "0.2", "--rho", "0.5", "--format", "xml"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["formula", "--q", "0.2", "--rho", "0.5"],
+            ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75"],
+            ["curves"],
+            ["scaling"],
+            ["analyze", "scores.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, capsys, argv, threads):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", threads])
+        assert exc.value.code == 2
+        assert "argument --threads: threads must be at least 1" in capsys.readouterr().err
+
+    def test_non_integer_threads_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["formula", "--q", "0.2", "--rho", "0.5", "--threads", "x"])
+        assert exc.value.code == 2
+        assert "argument --threads: invalid int value: 'x'" in capsys.readouterr().err
+
 
 class TestPlan:
     def test_reachable_target(self, capsys, tmp_path):

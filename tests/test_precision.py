@@ -88,6 +88,22 @@ class TestTopHits:
         est, truth, k = block
         assert list(top_hits(est, truth, k)) == list(reference_hits(est, truth, k))
 
+    @pytest.mark.parametrize("layout", ["C-order column slice", "F-order block"])
+    def test_scan_block_views(self, layout):
+        """The m x B views a scan can pass: a column slice of a wider C-order
+        matrix, whose columns are strided, and an F-order block."""
+        wide = np.round(np.random.default_rng(7).uniform(-1.0, 1.0, (5, 12)), 1)
+        wide[:, 6] = [2.0, 1.0, 1.0, 1.0, 0.0]  # three rows tie for two slots at k = 3
+        truth = np.array([False, True, True, False, False])
+        block = wide[:, 4:10]
+        if layout == "F-order block":
+            block = np.asfortranarray(block)
+            assert block.flags.f_contiguous
+        else:
+            assert not block.flags.c_contiguous
+        for k in range(1, 6):
+            assert list(top_hits(block, truth, k)) == list(reference_hits(block, truth, k))
+
     def test_domain(self):
         est = np.zeros((4, 2))
         with pytest.raises(DomainError):

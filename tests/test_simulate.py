@@ -250,6 +250,21 @@ class TestScanMatchesArgsort:
         assert scan.avg_precisions.tobytes() == expected.tobytes()
 
 
+def test_scan_matches_argsort_at_benchmark_shape():
+    """The scan against the argsort reference on a 2000 x 100 universe,
+    whose product runs BLAS's large-shape kernels, over blocks and a tail.
+    Rounded scores tie heavily, so a last-bit change in the product moves
+    some top sets."""
+    paper = generate_universe(UniverseConfig(target_rho=0.5), SeededStream(25))
+    scores = np.round(paper.scores, 1)
+    u = Universe(scores, scores.mean(axis=1), paper.measured_rho)
+    sizes = [1, 2, 5, 10, 30]
+    samples = 3 * simulate._SCAN_BLOCK + 5
+    scan = panel_precision_scan(u, 0.2, SeededStream(26), sizes, samples)
+    expected = argsort_scan(u, 0.2, SeededStream(26), sizes, samples)
+    assert scan.avg_precisions.tobytes() == expected.tobytes()
+
+
 class TestFitExponentB:
     def _law(self, k, b, rho, q):
         nb = k**b

@@ -13,9 +13,11 @@ case differs, 0 otherwise.
 
 The cases are the four benchmark workloads (``perfbench/workloads.py``)
 at seeds 0-2, then small runs of every command, including the paths
-that exit 2, 3 and 4, the superstar tail of ``scaling --boost``, a
-table whose scorers all give ranks and one with a scorer that always
-gives 7.3. A full comparison takes a few minutes.
+that exit 2, 3 and 4, a ``--threads`` below 1, the superstar tail of
+``scaling --boost``, a ``scaling`` run of 131 samples per size (two
+64-sample scan blocks and a tail), a table whose scorers all give ranks
+and one with a scorer that always gives 7.3. A full comparison takes a
+few minutes.
 """
 from __future__ import annotations
 
@@ -53,6 +55,8 @@ CASES = [
     ("formula empty n", ["formula", "--q", "0.2", "--rho", "0.5", "--n", ","], ()),
     ("formula unclipped", ["formula", "--q", "0.5", "--rho", "0.55", "--n", "1..200",
                            "--unclipped", "--out", OUT, "--format", ALL], ()),
+    ("formula threads -3", ["formula", "--q", "0.2", "--rho", "0.5", "--threads", "-3",
+                            "--out", OUT], ()),
     ("plan reachable", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75",
                         "--out", OUT], ()),
     ("plan exit 3", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.99",
@@ -72,6 +76,8 @@ CASES = [
                             "--max-size", "5", "--out", OUT], ()),
     ("scaling exit 2 at second q", ["scaling", "--q", "0.2,1.5", "--samples", "20",
                                     "--max-size", "4"], ()),
+    ("scaling 131 samples", ["scaling", "--rho", "0.4,0.6", "--samples", "131",
+                             "--max-size", "6", "--out", OUT, "--format", ALL], ()),
     ("scaling boost", ["scaling", "--rho", "0.4,0.6", "--samples", "40", "--max-size", "6",
                        "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
     ("scaling boost nan", ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3",
