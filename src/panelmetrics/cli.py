@@ -20,16 +20,23 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .anchors import compute_anchors, reference_line
+from .anchors import AnchorSet, compute_anchors, reference_line
 from .emit import (
     PlotSeries,
     csv_text,
     fmt6,
+    row_table,
     svg_line_plot,
     write_csv,
     write_json,
 )
-from .empirics import build_report, load_scores
+from .empirics import (
+    SBComparisonRow,
+    SubsetSizeRow,
+    VarianceQualityRow,
+    build_report,
+    load_scores,
+)
 from .errors import DataValidationError, DomainError, PanelMetricsError
 from .laws import (
     PanelQuery,
@@ -41,6 +48,8 @@ from .laws import (
 from .precision import log_q_grid
 from .simulate import (
     PRESETS,
+    BGridRow,
+    BRegressionRow,
     UniverseConfig,
     b_grid_scan,
     regress_b_on_rho,
@@ -49,15 +58,22 @@ from .simulate import (
 from .streams import DISTRIBUTION_KINDS, DistributionSpec, SeededStream
 
 
+def _parse_value(text: str, kind: type):
+    # argparse names a type function's ValueError after the function
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _parse_int_list(text: str) -> list[int]:
     """Accept "7", "1,3,5", or "1..5"."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
+        lo, hi = (_parse_value(part, int) for part in text.split("..", 1))
+        if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
+        return list(range(lo, hi + 1))
     return _parse_list(text, int)
 
 
@@ -66,17 +82,14 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _parse_list(text: str, kind: type) -> list:
-    values = [kind(part) for part in text.split(",") if part.strip()]
+    values = [_parse_value(part, kind) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty list")
     return values
 
 
 def _parse_threads(text: str) -> int:
-    try:
-        threads = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    threads = _parse_value(text, int)
     if threads < 1:
         raise argparse.ArgumentTypeError("threads must be at least 1")
     return threads
@@ -293,6 +306,8 @@ def cmd_curves(args) -> int:
         raise DomainError("m must be at least 10")
     if args.trials < 1:
         raise DomainError("trials must be at least 1")
+    if args.anchor_trials < 1:
+        raise DomainError("anchor-trials must be at least 1")
     if not 0.0 < args.rho < 1.0:
         raise DomainError("rho must lie strictly between 0 and 1")
 
@@ -341,18 +356,7 @@ def cmd_curves(args) -> int:
     )
     files = {
         "curves.csv": (header, rows),
-        "anchors.csv": (
-            ("q_anchor", "normal_limit", "t_limit", "heavy_tail_estimate", "p_avg_02"),
-            [
-                (
-                    anchors.q_anchor,
-                    anchors.normal_limit,
-                    anchors.t_limit,
-                    anchors.heavy_tail_estimate,
-                    anchors.p_avg_02,
-                )
-            ],
-        ),
+        "anchors.csv": row_table(AnchorSet, [anchors]),
         "curves.json": {
             "m": args.m,
             "rho": args.rho,
@@ -415,9 +419,7 @@ def cmd_scaling(args) -> int:
             regression_errors.append({"q": q, "error": str(exc)})
             print(f"regression skipped for q={fmt6(q)}: {exc}", file=sys.stderr)
 
-    grid_header = ("q", "target_rho", "measured_rho", "best_b")
-    grid_rows = [(r.q, r.target_rho, r.measured_rho, r.best_b) for r in rows]
-    print(csv_text(grid_header, grid_rows), end="")
+    print(csv_text(*row_table(BGridRow, rows)), end="")
     for reg in regressions:
         print(
             f"q={fmt6(reg.q)}: b ~ {fmt6(reg.intercept)} + {fmt6(reg.slope)}*rho "
@@ -425,11 +427,8 @@ def cmd_scaling(args) -> int:
         )
 
     files = {
-        "b_grid.csv": (grid_header, grid_rows),
-        "regression.csv": (
-            ("q", "slope", "intercept", "r_squared"),
-            [(r.q, r.slope, r.intercept, r.r_squared) for r in regressions],
-        ),
+        "b_grid.csv": row_table(BGridRow, rows),
+        "regression.csv": row_table(BRegressionRow, regressions),
         "b_grid.json": {
             "preset": args.preset,
             "rows": rows,
@@ -489,35 +488,15 @@ def cmd_analyze(args) -> int:
                 for t in report.tasks
             ),
         ),
-        "subsets.csv": (
-            ("task", "size", "n_subsets", "avg_intercept", "improvement_pct"),
-            (
-                (t.name, r.size, r.n_subsets, r.avg_intercept, r.improvement_pct)
-                for t in report.tasks
-                for r in t.subset_rows
-            ),
+        "subsets.csv": row_table(
+            SubsetSizeRow,
+            ((t.name, r) for t in report.tasks for r in t.subset_rows),
+            lead="task",
         ),
-        "spearman_brown.csv": (
-            (
-                "task",
-                "size",
-                "observed",
-                "predicted",
-                "pct_pred_vs_obs",
-                "pct_obs_vs_pred",
-            ),
-            (
-                (
-                    t.name,
-                    r.size,
-                    r.observed,
-                    r.predicted,
-                    r.pct_pred_vs_obs,
-                    r.pct_obs_vs_pred,
-                )
-                for t in report.tasks
-                for r in t.sb_rows
-            ),
+        "spearman_brown.csv": row_table(
+            SBComparisonRow,
+            ((t.name, r) for t in report.tasks for r in t.sb_rows),
+            lead="task",
         ),
         "curves.csv": (
             ("task", "q", "p_avg", *(f"p_{ai}" for ai in report.ai_names)),
@@ -533,13 +512,14 @@ def cmd_analyze(args) -> int:
             ),
         ),
         "qq.csv": (("theoretical", "sample"), report.qq_pairs),
-        "variance_quality.csv": (
-            ("truth_mode", "task", "ai", "variance", "corr_with_truth"),
+        "variance_quality.csv": row_table(
+            VarianceQualityRow,
             (
-                (vq.truth_mode, r.task, r.ai, r.variance, r.corr_with_truth)
+                (vq.truth_mode, r)
                 for vq in (report.variance_weighted, report.variance_unweighted)
                 for r in vq.rows
             ),
+            lead="truth_mode",
         ),
     }
     for t in report.tasks:

@@ -21,6 +21,7 @@ __all__ = [
     "fmt6",
     "to_jsonable",
     "csv_text",
+    "row_table",
     "write_csv",
     "write_json",
     "PlotSeries",
@@ -52,6 +53,21 @@ def csv_text(header: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
     writer.writerow(header)
     writer.writerows([fmt6(cell) for cell in row] for row in rows)
     return buf.getvalue()
+
+
+def row_table(
+    cls: type, rows: Iterable[Any], lead: str | None = None
+) -> tuple[tuple[str, ...], Iterable[tuple]]:
+    """``(header, rows)`` of ``cls`` rows for ``csv_text``, converted lazily.
+
+    The header is the fields of ``cls``, which are also the rows' JSON
+    keys, so an empty table keeps its header. With ``lead``, ``rows``
+    holds ``(value, row)`` pairs and ``lead`` names the value's column.
+    """
+    header = tuple(f.name for f in dataclasses.fields(cls))
+    if lead is None:
+        return header, map(dataclasses.astuple, rows)
+    return (lead, *header), ((value, *dataclasses.astuple(row)) for value, row in rows)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:

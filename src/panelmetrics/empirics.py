@@ -457,7 +457,8 @@ def variance_quality(
     "unweighted" for the plain column mean. Across all rows, the global
     Pearson r between variance and correlation, with a two-sided
     Student-t p-value on n - 2 degrees of freedom; both are None when
-    either quantity is the same in every row.
+    there are fewer than 3 rows or either quantity is the same in every
+    row.
     """
     if truth_mode not in ("weighted", "unweighted"):
         raise DomainError(f"truth_mode must be weighted or unweighted, got {truth_mode!r}")
@@ -469,8 +470,10 @@ def variance_quality(
         corr, _ = correlation_summary(np.column_stack([task.matrix, truth]))
         for ai, col, c in zip(table.ai_names, task.matrix.T, corr[:-1, -1]):
             rows.append(VarianceQualityRow(task.name, ai, float(col.var()), float(c)))
-    if len(rows) < 3:
-        raise DomainError("need at least 3 (task, scorer) rows for the global test")
+    n = len(rows)
+    if n < 3:
+        # two points always lie on a line: r is +-1 with no degrees of freedom
+        return VarianceQualityResult(truth_mode, rows, None, None)
     var = np.array([row.variance for row in rows])
     cor = np.array([row.corr_with_truth for row in rows])
     try:
@@ -479,7 +482,6 @@ def variance_quality(
         # a constant column, as when every scorer ranks the candidates 1..m
         # and so has the same variance: the test is undefined
         return VarianceQualityResult(truth_mode, rows, None, None)
-    n = len(rows)
     if abs(r) >= 1.0:
         p = 0.0
     else:

@@ -123,11 +123,11 @@ def p20_single(rho: float) -> float:
 
 
 def spearman_brown(n: int, rho_bar: float) -> float:
-    """Reliability of the mean of n parallel scorers: n*rho/(1+(n-1)*rho)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rho_bar = _check_rho(rho_bar)
-    return n * rho_bar / (1.0 + (n - 1.0) * rho_bar)
+    """Reliability of the mean of n parallel scorers: n*rho/(1+(n-1)*rho).
+
+    This is the panel law's effective correlation at b = 1.
+    """
+    return effective_rho(n, rho_bar, 1.0)
 
 
 def required_panel_size(

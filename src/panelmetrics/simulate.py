@@ -281,6 +281,8 @@ def _scan_plan(
         sizes = tuple(int(k) for k in sizes)
     if not sizes or any(k < 1 or k > n_ais for k in sizes):
         raise DomainError(f"panel sizes must be a non-empty selection of 1..{n_ais}")
+    if max(sizes) == 1:
+        raise DomainError("fitting b needs a panel size above 1")
     if samples_per_size < 1:
         raise DomainError("samples_per_size must be at least 1")
     return sizes, top_count(q, m)
@@ -326,14 +328,17 @@ def fit_exponent_b(
 
     Golden-section search on [0.01, 1.5]; the sum of squares is smooth
     and in practice unimodal there, and the bracket keeps the fit from
-    wandering when the data carry no panel gain at all.
+    wandering when the data carry no panel gain at all. At n = 1 the law
+    does not depend on b, so some size must exceed 1.
     """
     k = np.asarray(sizes, dtype=float)
     p = np.asarray(precisions, dtype=float)
-    if k.shape != p.shape or k.size == 0:
-        raise DomainError("sizes and precisions must align and be non-empty")
+    if k.shape != p.shape:
+        raise DomainError("sizes and precisions must align")
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie strictly between 0 and 1")
+    if not (k > 1).any():
+        raise DomainError("fitting b needs a panel size above 1")
 
     def sse(b: float) -> float:
         resid = p - (q + (1.0 - q) * effective_rho(k, rho, b))

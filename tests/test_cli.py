@@ -17,6 +17,9 @@ from panelmetrics.laws import (
 )
 
 
+FORMULA = ["formula", "--q", "0.2", "--rho", "0.5"]
+
+
 def read_csv_rows(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -103,6 +106,23 @@ class TestFormula:
         with pytest.raises(SystemExit) as exc:
             main(["formula", "--q", "0.2", "--rho", "0.5", "--n", "5..1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([*FORMULA, "--n", "x"], "--n: invalid int value: 'x'"),
+            ([*FORMULA, "--n", "1..x"], "--n: invalid int value: 'x'"),
+            (["scaling", "--q", "0.2,x"], "--q: invalid float value: 'x'"),
+        ],
+        ids=["n", "n-range", "q-list"],
+    )
+    def test_bad_list_value_named(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {error}" in err
+        assert "_parse" not in err
 
     @pytest.mark.parametrize("n", [",", ""])
     def test_empty_list_rejected(self, capsys, n):
@@ -245,6 +265,15 @@ class TestCurves:
     def test_tiny_m_exits_2(self, capsys):
         assert main(["curves", "--m", "5", "--trials", "1"]) == 2
 
+    def test_no_anchor_trials_exits_2_before_any_curve(self, capsys, monkeypatch):
+        from panelmetrics import cli
+
+        curves = []
+        monkeypatch.setattr(cli, "simulate_distribution_curve", lambda *a: curves.append(a))
+        assert main(["curves", "--anchor-trials", "0"]) == 2
+        assert capsys.readouterr().err == "error: anchor-trials must be at least 1\n"
+        assert curves == []
+
 
 SCALING_SMALL = [
     "scaling",
@@ -335,8 +364,18 @@ class TestScaling:
             (["--rho", "0.4,1.5"], "target_rho must lie strictly between 0 and 1"),
             (["--boost", "nan"], "boost must be finite and non-negative"),
             (["--boost", "inf"], "boost must be finite and non-negative"),
+            (["--max-size", "1", "--rho", "0.3,0.7"], "fitting b needs a panel size above 1"),
         ],
-        ids=["max-size", "samples", "q", "second-q", "second-rho", "boost-nan", "boost-inf"],
+        ids=[
+            "max-size",
+            "samples",
+            "q",
+            "second-q",
+            "second-rho",
+            "boost-nan",
+            "boost-inf",
+            "max-size-1",
+        ],
     )
     def test_bad_cell_exits_2_before_any_universe(self, capsys, monkeypatch, argv, error):
         from panelmetrics import simulate
@@ -441,6 +480,23 @@ class TestAnalyze:
             assert doc[mode]["r"] is None and doc[mode]["p_value"] is None
         _, rows = read_csv_rows(out / "variance_quality.csv")
         assert len({r[3] for r in rows}) == 1  # one variance for every column
+
+    def test_two_scorer_one_task_table_leaves_variance_quality_undefined(
+        self, capsys, tmp_path
+    ):
+        src = tmp_path / "pair.csv"
+        write_fixture_table(src, n_ai=2, names=("alpha",))
+        out = tmp_path / "report"
+        assert main(["analyze", str(src), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "variance-quality (weighted): r=undefined p=undefined" in captured.out
+        assert "panel of 2: observed" in captured.out
+        doc = json.loads((out / "report.json").read_text())
+        for mode in ("variance_weighted", "variance_unweighted"):
+            assert doc[mode]["r"] is None and doc[mode]["p_value"] is None
+            assert len(doc[mode]["rows"]) == 2
+        assert [row["size"] for row in doc["tasks"][0]["sb_rows"]] == [2]
 
     def test_missing_file_exits_4(self, capsys, tmp_path):
         rc = main(["analyze", str(tmp_path / "absent.csv")])
@@ -665,3 +721,67 @@ def test_csv_header(tmp_path, command, name, header):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out), "--format", "csv"]) == 0
     assert (out / name).read_text().splitlines()[0] == ",".join(header)
+
+
+# Each table of result rows, where the same rows sit in its JSON file, and
+# its leading column: (command, CSV file, JSON file, lead, JSON rows as
+# (lead values, row) pairs).
+ROW_TABLES = [
+    ("scaling", "b_grid.csv", "b_grid.json", (), lambda d: [((), r) for r in d["rows"]]),
+    (
+        "scaling",
+        "regression.csv",
+        "b_grid.json",
+        (),
+        lambda d: [((), r) for r in d["regressions"]],
+    ),
+    ("curves", "anchors.csv", "curves.json", (), lambda d: [((), d["anchors"])]),
+    (
+        "analyze",
+        "subsets.csv",
+        "report.json",
+        ("task",),
+        lambda d: [((t["name"],), r) for t in d["tasks"] for r in t["subset_rows"]],
+    ),
+    (
+        "analyze",
+        "spearman_brown.csv",
+        "report.json",
+        ("task",),
+        lambda d: [((t["name"],), r) for t in d["tasks"] for r in t["sb_rows"]],
+    ),
+    (
+        "analyze",
+        "variance_quality.csv",
+        "report.json",
+        ("truth_mode",),
+        lambda d: [
+            ((v["truth_mode"],), r)
+            for v in (d["variance_weighted"], d["variance_unweighted"])
+            for r in v["rows"]
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, csv_name, json_name, lead, json_rows",
+    ROW_TABLES,
+    ids=[csv_name for _, csv_name, *_ in ROW_TABLES],
+)
+def test_row_table_csv_matches_json(tmp_path, command, csv_name, json_name, lead, json_rows):
+    # two rho cells, so that regression.csv has a row
+    argv = SCALING_SMALL if command == "scaling" else list(SMALL_RUNS[command])
+    if command == "analyze":
+        src = tmp_path / "scores.csv"
+        write_fixture_table(src)
+        argv.append(str(src))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--format", "csv,json"]) == 0
+    with open(out / csv_name, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    expected = json_rows(json.loads((out / json_name).read_text()))
+    assert expected
+    for _, row in expected:
+        assert header == [*lead, *row]
+    assert rows == [[fmt6(v) for v in (*values, *row.values())] for values, row in expected]

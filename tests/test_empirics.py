@@ -375,10 +375,12 @@ class TestVarianceQuality:
         with pytest.raises(DomainError):
             run_variance_quality(self._table(), "robust")
 
-    def test_too_few_rows_rejected(self):
+    def test_two_rows_give_undefined_r(self):
+        # two points always lie on a line, leaving the test no degrees of freedom
         mat = SeededStream(71).generator().normal(size=(30, 2))
-        with pytest.raises(DomainError):
-            run_variance_quality(make_table(mat), "unweighted")
+        result = run_variance_quality(make_table(mat), "unweighted")
+        assert result.r is None and result.p_value is None
+        assert len(result.rows) == 2
 
     def test_rank_scored_table_gives_undefined_r(self, equicorr_matrix):
         ranks = np.argsort(np.argsort(equicorr_matrix(50, 4, 0.5, seed=72), axis=0), axis=0)

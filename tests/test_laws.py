@@ -146,6 +146,22 @@ class TestSpearmanBrown:
         assert spearman_brown(3, 0.545) == pytest.approx(0.7823, abs=5e-5)
         assert spearman_brown(1, 0.3) == pytest.approx(0.3)
 
+    @given(st.integers(min_value=1, max_value=10**6), RHOS)
+    @example(1, 0.0)
+    @example(7, 1.0)
+    @example(3, 5e-324)
+    @example(3, 1.0 - 2.0**-53)
+    def test_bit_identical_to_step_up_formula(self, n, rho):
+        assert spearman_brown(n, rho) == n * rho / (1.0 + (n - 1.0) * rho)
+
+    @pytest.mark.parametrize(
+        "n, rho, message",
+        [(0, 0.5, "n must be at least 1"), (2, 1.5, r"rho must lie in \[0, 1\]")],
+    )
+    def test_domain_errors(self, n, rho, message):
+        with pytest.raises(DomainError, match=message):
+            spearman_brown(n, rho)
+
 
 class TestRequiredPanelSize:
     def test_discussion_example(self):

@@ -171,6 +171,8 @@ class TestPanelPrecisionScan:
             panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[21])
         with pytest.raises(DomainError, match="panel sizes must be a non-empty"):
             panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[])
+        with pytest.raises(DomainError, match="fitting b needs a panel size above 1"):
+            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[1])
 
 
 def choice_weights(g, n, k, samples):
@@ -288,6 +290,13 @@ class TestFitExponentB:
     def test_rho_domain(self):
         with pytest.raises(DomainError):
             fit_exponent_b([1, 2], [0.5, 0.6], 1.0, 0.2)
+
+    @pytest.mark.parametrize("sizes", [[1], [1, 1, 1], []])
+    def test_no_size_above_one_rejected(self, sizes):
+        # at n = 1 the law does not depend on b: the search would drift to 1.5
+        p = [0.7] * len(sizes)
+        with pytest.raises(DomainError, match="fitting b needs a panel size above 1"):
+            fit_exponent_b(sizes, p, 0.5, 0.2)
 
 
 class TestBGridScan:

@@ -13,11 +13,13 @@ case differs, 0 otherwise.
 
 The cases are the four benchmark workloads (``perfbench/workloads.py``)
 at seeds 0-2, then small runs of every command, including the paths
-that exit 2, 3 and 4, a ``--threads`` below 1, the superstar tail of
-``scaling --boost``, a ``scaling`` run of 131 samples per size (two
-64-sample scan blocks and a tail), a table whose scorers all give ranks
-and one with a scorer that always gives 7.3. A full comparison takes a
-few minutes.
+that exit 2, 3 and 4, a ``--threads`` below 1, a non-numeric ``--n``,
+``curves --anchor-trials 0``, the superstar tail of ``scaling --boost``,
+a ``scaling`` run of 131 samples per size (two 64-sample scan blocks and
+a tail), a ``scaling`` run whose only panel size is 1, a table whose
+scorers all give ranks, one with a scorer that always gives 7.3 and one
+of a single task with two scorers. A full comparison takes a few
+minutes.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from panelmetrics.empirics import load_scores, save_scores  # noqa: E402
+from panelmetrics.empirics import ScoreTable, load_scores, save_scores  # noqa: E402
 
 OUT = "out"
 ALL = "csv,json,svg"
@@ -57,6 +59,7 @@ CASES = [
                            "--unclipped", "--out", OUT, "--format", ALL], ()),
     ("formula threads -3", ["formula", "--q", "0.2", "--rho", "0.5", "--threads", "-3",
                             "--out", OUT], ()),
+    ("formula n x", ["formula", "--q", "0.2", "--rho", "0.5", "--n", "x"], ()),
     ("plan reachable", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75",
                         "--out", OUT], ()),
     ("plan exit 3", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.99",
@@ -69,6 +72,7 @@ CASES = [
     ("curves t-dof 3", ["curves", "--t-dof", "3", "--m", "300", "--trials", "20",
                         "--anchor-trials", "2000", "--out", OUT, "--format", ALL], ()),
     ("curves exit 2", ["curves", "--m", "5"], ()),
+    ("curves anchor-trials 0", ["curves", "--anchor-trials", "0", "--out", OUT], ()),
     ("scaling grid", ["scaling", "--q", "0.1,0.2", "--rho", "0.4,0.6", "--samples", "60",
                       "--max-size", "8", "--threads", "2", "--out", OUT,
                       "--format", ALL], ()),
@@ -80,6 +84,8 @@ CASES = [
                              "--max-size", "6", "--out", OUT, "--format", ALL], ()),
     ("scaling boost", ["scaling", "--rho", "0.4,0.6", "--samples", "40", "--max-size", "6",
                        "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
+    ("scaling max-size 1", ["scaling", "--rho", "0.3,0.7", "--max-size", "1",
+                            "--out", OUT], ()),
     ("scaling boost nan", ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3",
                            "--boost", "nan"], ()),
     ("analyze csv", ["analyze", workloads.SCORES, "--threads", "2", "--out", OUT,
@@ -92,6 +98,8 @@ CASES = [
      ("ranks.csv",)),
     ("analyze repeated value", ["analyze", "repeated.csv", "--out", OUT],
      ("repeated.csv",)),
+    ("analyze two scorers", ["analyze", "pair.csv", "--out", OUT, "--format", ALL],
+     ("pair.csv",)),
     ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
     ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
 ]
@@ -101,8 +109,9 @@ RUNNER = "import sys; from panelmetrics.cli import main; sys.exit(main(sys.argv[
 
 def write_inputs(inputs: Path) -> None:
     """The analyze tables (seeds 0-2 as CSV; seed 0 also as JSON, with
-    each column replaced by its ranks 1..m, and as its first two tasks
-    with the third scorer always 7.3) and a bad CSV."""
+    each column replaced by its ranks 1..m, as its first two tasks with
+    the third scorer always 7.3, and as its first task's first two
+    scorers) and a bad CSV."""
     for seed in range(3):
         (inputs / f"seed{seed}").mkdir(parents=True)
         workloads.write_inputs("analyze", seed, inputs / f"seed{seed}")
@@ -120,6 +129,9 @@ def write_inputs(inputs: Path) -> None:
         matrix[:, 2] = 7.3
         repeated.append(dataclasses.replace(task, matrix=matrix))
     save_scores(dataclasses.replace(table, tasks=tuple(repeated)), inputs / "repeated.csv")
+    first = table.tasks[0]
+    pair = dataclasses.replace(first, matrix=first.matrix[:, :2])
+    save_scores(ScoreTable(ai_names=table.ai_names[:2], tasks=(pair,)), inputs / "pair.csv")
     (inputs / "bad.csv").write_text("task,candidate_id,attr,ai_1,ai_2\na,c0,,1.0,oops\n")
 
 
