@@ -13,6 +13,7 @@ Global flags: --seed, --threads, --out, --format. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -50,7 +51,6 @@ from .simulate import (
     PRESETS,
     BGridRow,
     BRegressionRow,
-    UniverseConfig,
     b_grid_scan,
     regress_b_on_rho,
     simulate_distribution_curve,
@@ -389,25 +389,11 @@ def cmd_curves(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    preset = PRESETS[args.preset]
-    cfg = UniverseConfig(
-        target_rho=args.rho[0],
-        n_ais=preset.n_ais,
-        m_candidates=preset.m_candidates,
-        boost=args.boost,
+    overrides = {"samples_per_size": args.samples, "max_size": args.max_size}
+    scan = dataclasses.replace(
+        PRESETS[args.preset], **{k: v for k, v in overrides.items() if v is not None}
     )
-    max_size = preset.max_size if args.max_size is None else args.max_size
-    samples = preset.samples_per_size if args.samples is None else args.samples
-    sizes = tuple(range(1, min(max_size, preset.n_ais) + 1))
-    rows = b_grid_scan(
-        args.q,
-        args.rho,
-        cfg,
-        args.seed,
-        sizes=sizes,
-        samples_per_size=samples,
-        threads=args.threads,
-    )
+    rows = b_grid_scan(args.q, args.rho, scan, args.seed, args.boost, args.threads)
 
     regressions = []
     regression_errors = []
@@ -443,10 +429,10 @@ def cmd_scaling(args) -> int:
         rho=args.rho,
         preset=args.preset,
         boost=args.boost,
-        sizes=list(sizes),
-        samples_per_size=samples,
-        n_ais=preset.n_ais,
-        m_candidates=preset.m_candidates,
+        sizes=list(scan.sizes),
+        samples_per_size=scan.samples_per_size,
+        n_ais=scan.n_ais,
+        m_candidates=scan.m_candidates,
     )
     return 0
 

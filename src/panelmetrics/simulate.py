@@ -79,8 +79,8 @@ class UniverseConfig:
     """
 
     target_rho: float
-    n_ais: int = 100
-    m_candidates: int = 2000
+    n_ais: int
+    m_candidates: int
     boost: float = 0.0
 
     def __post_init__(self) -> None:
@@ -129,12 +129,18 @@ class BRegressionRow:
 
 @dataclasses.dataclass(frozen=True)
 class ScanPreset:
-    """Bundle of scan sizes; paper scale vs something a laptop finishes."""
+    """Shape of a b-grid scan: scorers, candidates, panels per size and the
+    largest panel; paper scale vs something a laptop finishes."""
 
     n_ais: int
     m_candidates: int
     samples_per_size: int
     max_size: int
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Panel sizes 1..max_size, capped at the scorer count."""
+        return tuple(range(1, min(self.max_size, self.n_ais) + 1))
 
 
 # desk keeps the paper's scorer count: y_true averages every column, and with
@@ -232,8 +238,8 @@ def panel_precision_scan(
     u: Universe,
     q: float,
     stream: SeededStream,
-    sizes: Sequence[int] | None = None,
-    samples_per_size: int = 4000,
+    sizes: Sequence[int],
+    samples_per_size: int,
 ) -> PanelScanResult:
     """Average top-q precision of random k-scorer panels, for each k.
 
@@ -272,13 +278,10 @@ def panel_precision_scan(
 
 
 def _scan_plan(
-    n_ais: int, m: int, q: float, sizes: Sequence[int] | None, samples_per_size: int
+    n_ais: int, m: int, q: float, sizes: Sequence[int], samples_per_size: int
 ) -> tuple[tuple[int, ...], int]:
     """The checked panel sizes and the top-set size of a scan."""
-    if sizes is None:
-        sizes = tuple(range(1, min(30, n_ais) + 1))
-    else:
-        sizes = tuple(int(k) for k in sizes)
+    sizes = tuple(int(k) for k in sizes)
     if not sizes or any(k < 1 or k > n_ais for k in sizes):
         raise DomainError(f"panel sizes must be a non-empty selection of 1..{n_ais}")
     if max(sizes) == 1:
@@ -363,13 +366,12 @@ def fit_exponent_b(
 def b_grid_scan(
     q_values: Sequence[float],
     rho_targets: Sequence[float],
-    cfg: UniverseConfig,
+    scan: ScanPreset,
     base_seed: int,
-    sizes: Sequence[int] | None = None,
-    samples_per_size: int = 4000,
+    boost: float = 0.0,
     threads: int = 1,
 ) -> list[BGridRow]:
-    """Fit b in every (q, rho) cell of the grid.
+    """Fit b in every (q, rho) cell of the grid, each scanned as ``scan`` says.
 
     Cell index runs rho-fastest. Each cell derives its own stream from
     (base_seed, cell index), so the table is identical for any thread
@@ -380,6 +382,12 @@ def b_grid_scan(
     rho_targets = list(rho_targets)
     if not q_values or not rho_targets:
         raise DomainError("q_values and rho_targets must be non-empty")
+    # a repeated q pools its cells into one regression twice; a repeated
+    # rho fits a line through noise
+    for name, values in (("q", q_values), ("rho", rho_targets)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise DomainError(f"{name} {value:g} appears more than once in the grid")
     if threads < 1:
         raise DomainError("threads must be at least 1")
 
@@ -387,21 +395,21 @@ def b_grid_scan(
     cells = []
     for i_q, q in enumerate(q_values):
         for i_r, rho in enumerate(rho_targets):
-            cell_cfg = dataclasses.replace(cfg, target_rho=rho)
-            _scan_plan(cfg.n_ais, cfg.m_candidates, q, sizes, samples_per_size)
-            cells.append((q, cell_cfg, root.derive(i_q * len(rho_targets) + i_r)))
+            cfg = UniverseConfig(rho, scan.n_ais, scan.m_candidates, boost)
+            _scan_plan(scan.n_ais, scan.m_candidates, q, scan.sizes, scan.samples_per_size)
+            cells.append((q, cfg, root.derive(i_q * len(rho_targets) + i_r)))
 
     def run(cell):
-        q, cell_cfg, cell_stream = cell
-        universe = generate_universe(cell_cfg, cell_stream.derive(0))
-        scan = panel_precision_scan(
-            universe, q, cell_stream.derive(1), sizes, samples_per_size
+        q, cfg, cell_stream = cell
+        universe = generate_universe(cfg, cell_stream.derive(0))
+        fit = panel_precision_scan(
+            universe, q, cell_stream.derive(1), scan.sizes, scan.samples_per_size
         )
         return BGridRow(
             q=q,
-            target_rho=cell_cfg.target_rho,
+            target_rho=cfg.target_rho,
             measured_rho=universe.measured_rho,
-            best_b=scan.fitted_b,
+            best_b=fit.fitted_b,
         )
 
     if threads == 1:

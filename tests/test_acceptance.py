@@ -145,17 +145,8 @@ def test_criterion_4_bivariate_normal_anchor():
 
 def test_criterion_5_desk_scale_b_grid():
     t0 = time.perf_counter()
-    preset = PRESETS["desk"]
     rhos = [0.30, 0.40, 0.50, 0.60, 0.70, 0.80]
-    cfg = UniverseConfig(
-        target_rho=rhos[0],
-        n_ais=preset.n_ais,
-        m_candidates=preset.m_candidates,
-    )
-    sizes = tuple(range(1, min(preset.max_size, preset.n_ais) + 1))
-    rows = b_grid_scan(
-        [0.2], rhos, cfg, 0, sizes=sizes, samples_per_size=preset.samples_per_size
-    )
+    rows = b_grid_scan([0.2], rhos, PRESETS["desk"], 0)
     reg = regress_b_on_rho(rows)
     elapsed = time.perf_counter() - t0
 
@@ -358,12 +349,5 @@ def test_criterion_9_determinism(tmp_path):
 @pytest.mark.slow
 def test_paper_scale_cell_matches_published_fit():
     """Full-size single cell; not an acceptance criterion, a fidelity check."""
-    preset = PRESETS["paper"]
-    cfg = UniverseConfig(
-        target_rho=0.3, n_ais=preset.n_ais, m_candidates=preset.m_candidates
-    )
-    sizes = tuple(range(1, preset.max_size + 1))
-    rows = b_grid_scan(
-        [0.2], [0.3], cfg, 0, sizes=sizes, samples_per_size=preset.samples_per_size
-    )
+    rows = b_grid_scan([0.2], [0.3], PRESETS["paper"], 0)
     assert abs(rows[0].best_b - 0.760526) <= 0.08, rows[0]

@@ -365,6 +365,14 @@ class TestScaling:
             (["--boost", "nan"], "boost must be finite and non-negative"),
             (["--boost", "inf"], "boost must be finite and non-negative"),
             (["--max-size", "1", "--rho", "0.3,0.7"], "fitting b needs a panel size above 1"),
+            (
+                ["--q", "0.2,0.2", "--rho", "0.4,0.6", "--samples", "20", "--max-size", "3"],
+                "q 0.2 appears more than once in the grid",
+            ),
+            (
+                ["--rho", "0.5,0.5", "--samples", "20", "--max-size", "3"],
+                "rho 0.5 appears more than once in the grid",
+            ),
         ],
         ids=[
             "max-size",
@@ -375,6 +383,8 @@ class TestScaling:
             "boost-nan",
             "boost-inf",
             "max-size-1",
+            "repeated-q",
+            "repeated-rho",
         ],
     )
     def test_bad_cell_exits_2_before_any_universe(self, capsys, monkeypatch, argv, error):
@@ -385,6 +395,13 @@ class TestScaling:
         assert main(["scaling", *argv]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert draws == []
+
+    def test_max_size_capped_at_scorer_count(self, tmp_path):
+        out = tmp_path / "capped"
+        argv = ["scaling", "--preset", "desk", "--max-size", "150", "--samples", "5"]
+        assert main([*argv, "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["sizes"] == list(range(1, 101))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_boost_exits_2(self, capsys):

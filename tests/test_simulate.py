@@ -9,6 +9,7 @@ from panelmetrics import simulate
 from panelmetrics.errors import ConfigError, DomainError
 from panelmetrics.precision import stable_rank, top_count
 from panelmetrics.simulate import (
+    ScanPreset,
     Universe,
     UniverseConfig,
     b_grid_scan,
@@ -23,12 +24,13 @@ from panelmetrics.streams import SeededStream
 
 # small enough to keep the suite quick, large enough to be meaningful
 SMALL = dict(n_ais=20, m_candidates=400)
+# the paper's universe: 100 scorers, 2000 candidates
+PAPER = dict(n_ais=100, m_candidates=2000)
 
 
 class TestUniverseConfig:
     def test_defaults_are_paper_scale(self):
-        cfg = UniverseConfig(target_rho=0.5)
-        assert (cfg.n_ais, cfg.m_candidates, cfg.boost) == (100, 2000, 0.0)
+        cfg = UniverseConfig(target_rho=0.5, **PAPER)
         assert [f.name for f in dataclasses.fields(cfg)] == [
             "target_rho", "n_ais", "m_candidates", "boost"
         ]
@@ -46,7 +48,7 @@ class TestUniverseConfig:
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            UniverseConfig(**kwargs)
+            UniverseConfig(**{**PAPER, **kwargs})
 
 
 class TestGenerateUniverse:
@@ -67,7 +69,7 @@ class TestGenerateUniverse:
     def test_tight_spread_hits_target_rho(self):
         # the scorers' signal shares spread by only 0.05 around the target,
         # so the factor model keeps the mean pairwise correlation near it
-        cfg = UniverseConfig(target_rho=0.6)
+        cfg = UniverseConfig(target_rho=0.6, **PAPER)
         u = generate_universe(cfg, SeededStream(3))
         assert u.measured_rho == pytest.approx(0.6, abs=0.02)
 
@@ -166,13 +168,13 @@ class TestPanelPrecisionScan:
 
     def test_size_bounds_checked(self, small_universe):
         with pytest.raises(DomainError):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[0])
+            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[0], samples_per_size=10)
         with pytest.raises(DomainError):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[21])
+            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[21], samples_per_size=10)
         with pytest.raises(DomainError, match="panel sizes must be a non-empty"):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[])
+            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[], samples_per_size=10)
         with pytest.raises(DomainError, match="fitting b needs a panel size above 1"):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[1])
+            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[1], samples_per_size=10)
 
 
 def choice_weights(g, n, k, samples):
@@ -257,7 +259,7 @@ def test_scan_matches_argsort_at_benchmark_shape():
     whose product runs BLAS's large-shape kernels, over blocks and a tail.
     Rounded scores tie heavily, so a last-bit change in the product moves
     some top sets."""
-    paper = generate_universe(UniverseConfig(target_rho=0.5), SeededStream(25))
+    paper = generate_universe(UniverseConfig(target_rho=0.5, **PAPER), SeededStream(25))
     scores = np.round(paper.scores, 1)
     u = Universe(scores, scores.mean(axis=1), paper.measured_rho)
     sizes = [1, 2, 5, 10, 30]
@@ -300,19 +302,11 @@ class TestFitExponentB:
 
 
 class TestBGridScan:
-    def _cfg(self):
-        return UniverseConfig(target_rho=0.5, **SMALL)
+    # panel sizes 1..8 of 120 samples each
+    SCAN = ScanPreset(**SMALL, samples_per_size=120, max_size=8)
 
     def _scan(self, threads):
-        return b_grid_scan(
-            [0.1, 0.2],
-            [0.4, 0.6],
-            self._cfg(),
-            base_seed=77,
-            sizes=range(1, 9),
-            samples_per_size=120,
-            threads=threads,
-        )
+        return b_grid_scan([0.1, 0.2], [0.4, 0.6], self.SCAN, base_seed=77, threads=threads)
 
     def test_row_layout(self):
         rows = self._scan(1)
@@ -329,7 +323,24 @@ class TestBGridScan:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
-            b_grid_scan([], [0.5], self._cfg(), 0)
+            b_grid_scan([], [0.5], self.SCAN, 0)
+
+    def test_cells_use_their_derived_streams(self):
+        """Cell i = i_q * len(rho) + i_rho draws its universe from
+        root.derive(i).derive(0) and its panels from root.derive(i).derive(1)."""
+        q_values, rhos = [0.1, 0.2], [0.4, 0.6]
+        scan = ScanPreset(n_ais=12, m_candidates=300, samples_per_size=70, max_size=5)
+        rows = b_grid_scan(q_values, rhos, scan, base_seed=5, boost=0.5)
+        root = SeededStream(5)
+        expected = []
+        for i_q, q in enumerate(q_values):
+            for i_r, rho in enumerate(rhos):
+                cell = root.derive(i_q * len(rhos) + i_r)
+                cfg = UniverseConfig(rho, n_ais=12, m_candidates=300, boost=0.5)
+                u = generate_universe(cfg, cell.derive(0))
+                fit = panel_precision_scan(u, q, cell.derive(1), range(1, 6), 70)
+                expected.append(BGridRow(q, rho, u.measured_rho, fit.fitted_b))
+        assert rows == expected
 
 
 class TestRegressBOnRho:

@@ -16,10 +16,11 @@ at seeds 0-2, then small runs of every command, including the paths
 that exit 2, 3 and 4, a ``--threads`` below 1, a non-numeric ``--n``,
 ``curves --anchor-trials 0``, the superstar tail of ``scaling --boost``,
 a ``scaling`` run of 131 samples per size (two 64-sample scan blocks and
-a tail), a ``scaling`` run whose only panel size is 1, a table whose
-scorers all give ranks, one with a scorer that always gives 7.3 and one
-of a single task with two scorers. A full comparison takes a few
-minutes.
+a tail), a ``scaling`` run whose only panel size is 1, a ``scaling``
+``--max-size`` above the preset's scorer count, a ``scaling`` grid with a
+repeated ``--q``, a table whose scorers all give ranks, one with a scorer
+that always gives 7.3 and one of a single task with two scorers. A full
+comparison takes a few minutes.
 """
 from __future__ import annotations
 
@@ -86,6 +87,10 @@ CASES = [
                        "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
     ("scaling max-size 1", ["scaling", "--rho", "0.3,0.7", "--max-size", "1",
                             "--out", OUT], ()),
+    ("scaling max-size above scorers", ["scaling", "--max-size", "150", "--samples", "5",
+                                        "--out", OUT], ()),
+    ("scaling repeated q", ["scaling", "--q", "0.2,0.2", "--rho", "0.4,0.6", "--samples",
+                            "20", "--max-size", "3", "--out", OUT], ()),
     ("scaling boost nan", ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3",
                            "--boost", "nan"], ()),
     ("analyze csv", ["analyze", workloads.SCORES, "--threads", "2", "--out", OUT,
