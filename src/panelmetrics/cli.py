@@ -152,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=500, help="trials per distribution")
     p.add_argument("--t-dof", type=float, default=4.0, help="Student-t degrees of freedom")
     p.add_argument("--points", type=int, default=50, help="quantile grid points")
-    p.add_argument(
-        "--anchor-trials", type=int, default=20000, help="trials for the t anchor"
-    )
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("scaling", parents=[common], help="exponent fits over a (q, rho) grid")
@@ -306,8 +303,6 @@ def cmd_curves(args) -> int:
         raise DomainError("m must be at least 10")
     if args.trials < 1:
         raise DomainError("trials must be at least 1")
-    if args.anchor_trials < 1:
-        raise DomainError("anchor-trials must be at least 1")
     if not 0.0 < args.rho < 1.0:
         raise DomainError("rho must lie strictly between 0 and 1")
 
@@ -322,14 +317,7 @@ def cmd_curves(args) -> int:
 
     near_02 = int(np.argmin(np.abs(grid - 0.2)))
     p_avg_02 = float(np.mean([curves[kind][near_02] for kind in DISTRIBUTION_KINDS]))
-    anchors = compute_anchors(
-        args.m,
-        args.rho,
-        args.t_dof,
-        args.anchor_trials,
-        root.derive(len(DISTRIBUTION_KINDS)),
-        p_avg_02,
-    )
+    anchors = compute_anchors(args.m, args.rho, args.t_dof, p_avg_02)
     ref = reference_line(grid, p_avg_02)
 
     print(
@@ -383,7 +371,6 @@ def cmd_curves(args) -> int:
         trials=args.trials,
         t_dof=args.t_dof,
         points=args.points,
-        anchor_trials=args.anchor_trials,
     )
     return 0
 

@@ -287,7 +287,7 @@ def _scan_plan(
     if max(sizes) == 1:
         raise DomainError("fitting b needs a panel size above 1")
     if samples_per_size < 1:
-        raise DomainError("samples_per_size must be at least 1")
+        raise DomainError("samples per panel size must be at least 1")
     return sizes, top_count(q, m)
 
 

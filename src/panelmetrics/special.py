@@ -26,13 +26,19 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF of one value.
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def std_normal_cdf(z):
+    """Standard normal CDF, scalar or elementwise on arrays.
 
     Built on erfc, so the lower tail keeps full relative accuracy
-    instead of rounding to 0.
+    instead of rounding to 0. Every element goes through ``math.erfc``,
+    so an array gives bit for bit the values of scalar calls; a scalar
+    is the 0-d case and comes back as a float.
     """
-    return 0.5 * math.erfc(-z / _SQRT2)
+    out = 0.5 * np.asarray(_ERFC(np.negative(z, dtype=float) / _SQRT2), dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 # Acklam's rational approximation; |rel err| < 1.15e-9 before refinement
@@ -55,7 +61,8 @@ _ACK_D = (
 _ACK_PLOW = 0.02425
 
 
-def _quantile_scalar(p: float) -> float:
+def _acklam(p: float) -> float:
+    """Acklam's starting value for the quantile of one probability."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie strictly in (0, 1), got {p}")
     a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
@@ -77,19 +84,18 @@ def _quantile_scalar(p: float) -> float:
         x = -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
             (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
         )
-    # one Halley step against the erfc-based CDF lands well under 1e-10
-    err = std_normal_cdf(x) - p
-    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return x
 
 
 def std_normal_quantile(p):
     """Inverse standard normal CDF, scalar or elementwise on arrays."""
-    if np.ndim(p) == 0:
-        return _quantile_scalar(float(p))
     arr = np.asarray(p, dtype=float)
-    out = np.array([_quantile_scalar(t) for t in arr.ravel()])
-    return out.reshape(arr.shape)
+    x = np.array([_acklam(t) for t in arr.ravel().tolist()]).reshape(arr.shape)
+    # one Halley step against the erfc-based CDF lands well under 1e-10
+    err = std_normal_cdf(x) - arr
+    u = err * _SQRT_2PI * np.exp(0.5 * x * x)
+    out = x - u / (1.0 + 0.5 * x * u)
+    return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from panelmetrics.anchors import (
     AnchorSet,
+    _winner_grid,
+    _winner_match,
     compute_anchors,
     heavy_tail_anchor,
     normal_limit_anchor,
@@ -10,7 +14,6 @@ from panelmetrics.anchors import (
     student_t_anchor,
 )
 from panelmetrics.errors import DomainError
-from panelmetrics.streams import SeededStream
 
 
 class TestNormalLimitAnchor:
@@ -37,40 +40,70 @@ class TestNormalLimitAnchor:
             normal_limit_anchor(100, -0.1)
 
 
-class TestStudentTAnchor:
-    def test_deterministic_under_fixed_stream(self):
-        s = SeededStream(3, 14)
-        a = student_t_anchor(100, 0.6, 4.0, 3000, s)
-        b = student_t_anchor(100, 0.6, 4.0, 3000, s)
-        assert a == b
+def population_sd_monte_carlo(m, rho, dof, draws, seed):
+    """Winner-match rate and its standard error from draws // m trials.
 
-    def test_batch_boundary_consistency(self):
-        # trial counts straddling the internal batch size agree on the
-        # common prefix only in expectation; the contract is that the
-        # estimate is a pure function of (stream, trials)
-        s = SeededStream(4, 1)
-        vals = {student_t_anchor(50, 0.7, 4.0, 700, s) for _ in range(3)}
-        assert len(vals) == 1
+    Each trial draws m t(dof) signal values and adds normal noise whose
+    sd is calibrated on the population sd sqrt(dof / (dof - 2)), the
+    convention student_t_anchor integrates.
+    """
+    g = np.random.default_rng(seed)
+    sigma = math.sqrt(dof / (dof - 2.0)) * math.sqrt(1.0 / rho**2 - 1.0)
+    trials = draws // m
+    rows = max(1, 250_000 // m)
+    hits = 0
+    for start in range(0, trials, rows):
+        nu = g.standard_t(dof, (min(rows, trials - start), m))
+        x = nu + sigma * g.standard_normal(nu.shape)
+        hits += int(np.count_nonzero(x.argmax(axis=1) == nu.argmax(axis=1)))
+    p = hits / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)
+
+
+class TestStudentTAnchor:
+    @pytest.mark.parametrize(
+        "m, rho, dof",
+        [(10, 0.5, 4.0), (10, 0.05, 4.0), (100, 0.6, 4.0), (300, 0.8, 2.5), (2000, 0.99, 4.0)],
+    )
+    def test_agrees_with_population_sd_monte_carlo(self, m, rho, dof):
+        p, se = population_sd_monte_carlo(m, rho, dof, 2_000_000, seed=0)
+        assert abs(student_t_anchor(m, rho, dof) - p) <= 3.0 * se
+
+    @pytest.mark.parametrize("dof", [2.5, 4.0, 30.0])
+    @pytest.mark.parametrize("rho", [0.05, 0.8, 0.99])
+    def test_grid_refinement_moves_less_than_1e5(self, rho, dof):
+        m = 2000
+        sigma = math.sqrt(dof / (dof - 2.0)) * math.sqrt(1.0 / rho**2 - 1.0)
+        step, half_width = _winner_grid(m, sigma, dof)
+        base = _winner_match(m, sigma, dof, step, half_width)
+        assert base == student_t_anchor(m, rho, dof)
+        finer = _winner_match(m, sigma, dof, step / 2.0, half_width * 2.0)
+        assert abs(finer - base) < 1e-5
 
     def test_perfect_rho_bypass(self):
-        assert student_t_anchor(100, 1.0, 4.0, 10, SeededStream(0)) == 1.0
+        assert student_t_anchor(100, 1.0, 4.0) == 1.0
 
     def test_large_dof_approaches_normal_limit(self):
-        est = student_t_anchor(200, 0.3, 200.0, 40000, SeededStream(101))
+        est = student_t_anchor(200, 0.3, 200.0)
         assert est == pytest.approx(normal_limit_anchor(200, 0.3), abs=0.02)
 
     def test_higher_rho_hits_more(self):
-        lo = student_t_anchor(100, 0.3, 4.0, 8000, SeededStream(7))
-        hi = student_t_anchor(100, 0.9, 4.0, 8000, SeededStream(7))
-        assert hi > lo
+        rhos = (0.01, 0.05, 0.2, 0.5, 0.8, 0.99, 0.9999)
+        vals = [student_t_anchor(100, rho, 4.0) for rho in rhos]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert 1.0 / 100 < vals[0] and vals[-1] < 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            student_t_anchor(100, 0.0, 4.0, 100, SeededStream(0))
+            student_t_anchor(1, 0.5, 4.0)
         with pytest.raises(DomainError):
-            student_t_anchor(100, 0.5, 2.0, 100, SeededStream(0))
+            student_t_anchor(100, 0.0, 4.0)
         with pytest.raises(DomainError):
-            student_t_anchor(100, 0.5, 4.0, 0, SeededStream(0))
+            student_t_anchor(100, 1.5, 4.0)
+        with pytest.raises(DomainError):
+            student_t_anchor(100, 0.5, 2.0)
+        with pytest.raises(DomainError):
+            student_t_anchor(100, 0.5, math.inf)
 
 
 class TestHeavyTailAnchor:
@@ -116,9 +149,7 @@ class TestReferenceLine:
 
 class TestAnchorSet:
     def test_bundle(self):
-        anchors = compute_anchors(
-            m=100, rho=0.6, dof=4.0, trials=2000, stream=SeededStream(2), p_avg_02=0.62
-        )
+        anchors = compute_anchors(m=100, rho=0.6, dof=4.0, p_avg_02=0.62)
         assert anchors.q_anchor == pytest.approx(0.01)
         for value in (
             anchors.normal_limit,

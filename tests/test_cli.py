@@ -224,7 +224,6 @@ class TestCurves:
                 "--m", "50",
                 "--trials", "10",
                 "--points", "8",
-                "--anchor-trials", "200",
                 "--rho", "0.8",
                 "--out", str(out),
                 "--format", fmt,
@@ -264,15 +263,6 @@ class TestCurves:
 
     def test_tiny_m_exits_2(self, capsys):
         assert main(["curves", "--m", "5", "--trials", "1"]) == 2
-
-    def test_no_anchor_trials_exits_2_before_any_curve(self, capsys, monkeypatch):
-        from panelmetrics import cli
-
-        curves = []
-        monkeypatch.setattr(cli, "simulate_distribution_curve", lambda *a: curves.append(a))
-        assert main(["curves", "--anchor-trials", "0"]) == 2
-        assert capsys.readouterr().err == "error: anchor-trials must be at least 1\n"
-        assert curves == []
 
 
 SCALING_SMALL = [
@@ -358,7 +348,7 @@ class TestScaling:
         "argv, error",
         [
             (["--max-size", "0"], "panel sizes must be a non-empty selection of 1..100"),
-            (["--samples", "0"], "samples_per_size must be at least 1"),
+            (["--samples", "0"], "samples per panel size must be at least 1"),
             (["--q", "0"], "q must lie in (0, 1]"),
             (["--q", "0.2,1.5", "--rho", "0.4,0.5", "--samples", "50"], "q must lie in (0, 1]"),
             (["--rho", "0.4,1.5"], "target_rho must lie strictly between 0 and 1"),
@@ -656,9 +646,7 @@ OUTPUT_FILES = {
 SMALL_RUNS = {
     "formula": ["formula", "--q", "0.2", "--rho", "0.5", "--n", "1..3"],
     "plan": ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75"],
-    "curves": [
-        "curves", "--m", "50", "--trials", "2", "--points", "5", "--anchor-trials", "200",
-    ],
+    "curves": ["curves", "--m", "50", "--trials", "2", "--points", "5"],
     "scaling": ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3"],
     "analyze": ["analyze"],
 }

@@ -35,10 +35,53 @@ class TestStdNormalCdf:
             scipy.stats.norm.cdf(-20.0), rel=1e-10
         )
 
+    # the scalar formula 0.5 * erfc(-z / sqrt 2), as computed before the
+    # array path, for the deep lower tail, a subnormal, the center and the
+    # point from which the CDF rounds to 1
+    PINNED = [
+        (-40.0, 0.0),
+        (-8.3, 5.2055697448902866e-17),
+        (-1e-300, 0.5),
+        (0.0, 0.5),
+        (1.5, 0.9331927987311419),
+        (8.3, 1.0),
+    ]
+
+    @pytest.mark.parametrize("z, value", PINNED)
+    def test_scalar_pinned_bit_for_bit(self, z, value):
+        got = std_normal_cdf(z)
+        assert type(got) is float
+        assert got == value == 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        z = np.concatenate([[z for z, _ in self.PINNED], np.linspace(-38.0, 9.0, 4701)])
+        grid = z.reshape(-1, 3)
+        scalar = [[std_normal_cdf(t) for t in row] for row in grid]
+        assert np.array_equal(std_normal_cdf(grid), scalar)
+
 
 class TestStdNormalQuantile:
     def test_reference_value(self):
         assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=5e-7)
+
+    @pytest.mark.parametrize(
+        "p, value",
+        [
+            (1e-300, -37.0470962993612),
+            (1e-10, -6.361340902404057),
+            (0.001, -3.0902323061678136),
+            (0.02425, -1.972961051311885),
+            (0.3, -0.5244005127080408),
+            (0.5, 0.0),
+            (0.975, 1.9599639845400538),
+            (1 - 1e-6, 4.753424308827578),
+        ],
+    )
+    def test_pinned_bit_for_bit(self, p, value):
+        # values of the per-element math.exp Halley step; the array step
+        # uses numpy's exp, which must not move them
+        assert std_normal_quantile(p) == value
+        assert std_normal_quantile(np.array([p, p]))[1] == value
 
     def test_against_scipy(self):
         p = np.concatenate(

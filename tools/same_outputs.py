@@ -14,13 +14,13 @@ case differs, 0 otherwise.
 The cases are the four benchmark workloads (``perfbench/workloads.py``)
 at seeds 0-2, then small runs of every command, including the paths
 that exit 2, 3 and 4, a ``--threads`` below 1, a non-numeric ``--n``,
-``curves --anchor-trials 0``, the superstar tail of ``scaling --boost``,
-a ``scaling`` run of 131 samples per size (two 64-sample scan blocks and
-a tail), a ``scaling`` run whose only panel size is 1, a ``scaling``
-``--max-size`` above the preset's scorer count, a ``scaling`` grid with a
-repeated ``--q``, a table whose scorers all give ranks, one with a scorer
-that always gives 7.3 and one of a single task with two scorers. A full
-comparison takes a few minutes.
+the superstar tail of ``scaling --boost``, a ``scaling`` run of 131
+samples per size (two 64-sample scan blocks and a tail), a ``scaling``
+run whose only panel size is 1, a ``scaling`` ``--max-size`` above the
+preset's scorer count, a ``scaling`` grid with a repeated ``--q``, a
+table whose scorers all give ranks, one with a scorer that always gives
+7.3 and one of a single task with two scorers. A full comparison takes a
+few minutes.
 """
 from __future__ import annotations
 
@@ -66,14 +66,13 @@ CASES = [
     ("plan exit 3", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.99",
                      "--n-max", "5", "--out", OUT], ()),
     ("plan exit 2", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "1.5"], ()),
-    ("curves", ["curves", "--m", "300", "--trials", "20", "--anchor-trials", "2000",
-                "--seed=4", "--out", OUT, "--format", ALL], ()),
+    ("curves", ["curves", "--m", "300", "--trials", "20", "--seed=4", "--out", OUT,
+                "--format", ALL], ()),
     ("curves svg", ["curves", "--m", "120", "--trials", "10", "--points", "12",
-                    "--anchor-trials", "500", "--out", OUT, "--format", "svg"], ()),
+                    "--out", OUT, "--format", "svg"], ()),
     ("curves t-dof 3", ["curves", "--t-dof", "3", "--m", "300", "--trials", "20",
-                        "--anchor-trials", "2000", "--out", OUT, "--format", ALL], ()),
+                        "--out", OUT, "--format", ALL], ()),
     ("curves exit 2", ["curves", "--m", "5"], ()),
-    ("curves anchor-trials 0", ["curves", "--anchor-trials", "0", "--out", OUT], ()),
     ("scaling grid", ["scaling", "--q", "0.1,0.2", "--rho", "0.4,0.6", "--samples", "60",
                       "--max-size", "8", "--threads", "2", "--out", OUT,
                       "--format", ALL], ()),
