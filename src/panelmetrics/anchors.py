@@ -23,6 +23,7 @@ from .special import (
 )
 
 __all__ = [
+    "MAX_T_DOF",
     "AnchorSet",
     "normal_limit_anchor",
     "student_t_anchor",
@@ -39,6 +40,10 @@ _MAX_STEP = 0.125
 _TAIL_MASS = 1e-4
 # std_normal_cdf(z) rounds to exactly 1.0 from here on
 _PHI_ONE = 8.3
+# largest dof the Student-t anchor takes: up to here its change per half
+# decade of dof shrinks like 1/dof, to under 1e-5 at m <= 2000; from ~1e7
+# rounding makes it grow again, and at 1e300 the incomplete beta fails.
+MAX_T_DOF = 1e6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,8 +110,8 @@ def student_t_anchor(m: int, rho: float, dof: float) -> float:
         raise DomainError("m must be at least 2")
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
-    if not 2.0 < dof < math.inf:
-        raise DomainError("dof must be finite and exceed 2")
+    if not 2.0 < dof <= MAX_T_DOF:
+        raise DomainError(f"dof must exceed 2 and be at most {MAX_T_DOF:g}")
     if rho == 1.0:
         return 1.0
     sigma = math.sqrt(dof / (dof - 2.0)) * math.sqrt(1.0 / rho**2 - 1.0)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .anchors import AnchorSet, compute_anchors, reference_line
+from .anchors import MAX_T_DOF, AnchorSet, compute_anchors, reference_line
 from .emit import (
     PlotSeries,
     csv_text,
@@ -305,6 +305,9 @@ def cmd_curves(args) -> int:
         raise DomainError("trials must be at least 1")
     if not 0.0 < args.rho < 1.0:
         raise DomainError("rho must lie strictly between 0 and 1")
+    if not 2.0 < args.t_dof <= MAX_T_DOF:
+        raise DomainError(f"--t-dof must exceed 2 (finite variance) and be at most "
+                          f"{MAX_T_DOF:g}; t with more dof is normal to the anchor's accuracy")
 
     grid = log_q_grid(args.m, args.points)
     root = SeededStream(args.seed)

@@ -5,11 +5,12 @@ Given observed scores x and true quality v over the same m candidates,
 overlap fraction. ``generalized_precision`` decouples the two fractions
 so a q-slice of x can be scored against an h-slice of v.
 
-Every overlap is counted from ranks: ``stable_rank`` sorts a vector once,
-and the top-k slice is the set of ranks <= k. ``overlap_counts`` turns
-two rankings into the overlap size for every k at once. ``top_hits``
-counts the same top-k sets for every column of a matrix without sorting:
-it partitions each column at its k-th largest value instead.
+Every overlap is counted from ranks: ``stable_rank`` argsorts a vector
+once and puts tied runs back in index order, and the top-k slice is the
+set of ranks <= k. ``overlap_counts`` turns two rankings into the overlap
+size for every k at once. ``top_hits`` counts the same top-k sets for
+every column of a matrix without sorting: it partitions each column at
+its k-th largest value instead.
 """
 from __future__ import annotations
 
@@ -53,12 +54,21 @@ def top_count(q: float | np.ndarray, m: int) -> int | np.ndarray:
 def stable_rank(scores: np.ndarray) -> np.ndarray:
     """1-based rank of each score, highest first.
 
-    Ties go to the lower candidate index, which a stable sort on the
-    negated scores gives. The top-k slice is ``stable_rank(s) <= k``.
+    The ranks of a stable sort on the negated scores: ties go to the lower
+    index, NaNs rank last and -0.0 ties with 0.0. numpy's default argsort
+    leaves ties unordered, so when there are any, one integer sort of
+    ``run * m + index`` puts each run of equal values (or NaNs) back in
+    index order. The top-k slice is ``stable_rank(s) <= k``.
     """
-    scores = np.asarray(scores, dtype=float)
-    rank = np.empty(scores.size, dtype=np.int64)
-    rank[np.argsort(-scores, kind="stable")] = np.arange(1, scores.size + 1)
+    neg = -np.asarray(scores, dtype=float)
+    order = np.argsort(neg)
+    s = neg[order]
+    tied = (s[1:] == s[:-1]) | np.isnan(s[:-1])
+    if tied.any():
+        run = np.concatenate(([0], np.cumsum(~tied))) * neg.size
+        order = np.sort(run + order) - run
+    rank = np.empty(neg.size, dtype=np.int64)
+    rank[order] = np.arange(1, neg.size + 1)
     return rank
 
 

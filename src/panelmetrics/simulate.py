@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .laws import effective_rho
-from .precision import precision_curve, stable_rank, top_count, top_hits
+from .precision import overlap_counts, stable_rank, top_count, top_hits
 from .streams import (
     DistributionSpec,
     SeededStream,
@@ -167,11 +167,12 @@ def simulate_distribution_curve(
     """
     signal_root = stream.derive(0)
     noise_root = stream.derive(1)
+    ks = top_count(q_grid, m)
     totals = np.zeros(q_grid.size)
     for trial in range(trials):
         nu = sample_signal(spec, m, signal_root.derive(trial))
         x = add_calibrated_noise(nu, rho, noise_root.derive(trial))
-        totals += precision_curve(x, nu, q_grid).values
+        totals += overlap_counts(stable_rank(x), stable_rank(nu))[ks] / ks
     return totals / trials
 
 

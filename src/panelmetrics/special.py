@@ -27,6 +27,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
+_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 def std_normal_cdf(z):
@@ -59,38 +60,36 @@ _ACK_D = (
     2.445134137142996e00, 3.754408661907416e00,
 )
 _ACK_PLOW = 0.02425
+_P_MIN = np.finfo(float).tiny
 
 
-def _acklam(p: float) -> float:
-    """Acklam's starting value for the quantile of one probability."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie strictly in (0, 1), got {p}")
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if p < _ACK_PLOW:
-        u = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    elif p <= 1.0 - _ACK_PLOW:
-        u = p - 0.5
-        t = u * u
-        x = (
-            (((((a[0] * t + a[1]) * t + a[2]) * t + a[3]) * t + a[4]) * t + a[5])
-            * u
-            / (((((b[0] * t + b[1]) * t + b[2]) * t + b[3]) * t + b[4]) * t + 1.0)
-        )
-    else:
-        u = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
-            (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0
-        )
-    return x
+def _horner(coefs, x):
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
 
 
 def std_normal_quantile(p):
-    """Inverse standard normal CDF, scalar or elementwise on arrays."""
+    """Inverse standard normal CDF, scalar or elementwise on arrays.
+
+    Acklam's starting value over all three of its regions in one numpy
+    pass, then one Halley step. p must lie in [2.2e-308, 1): below the
+    smallest normal float exp(x^2 / 2) in the step overflows.
+    """
     arr = np.asarray(p, dtype=float)
-    x = np.array([_acklam(t) for t in arr.ravel().tolist()]).reshape(arr.shape)
+    ok = (arr >= _P_MIN) & (arr < 1.0)
+    if not np.all(ok):
+        raise DomainError(f"probability must lie in [{_P_MIN:.2g}, 1), got {arr[~ok][0]:g}")
+    w = arr - 0.5
+    t = w * w
+    x = np.array(_horner(_ACK_A, t) * w / _horner((*_ACK_B, 1.0), t))
+    # tails: u = sqrt(-2 log(min(p, 1 - p))), the upper one mirrored; by
+    # math.log, since numpy's log is 1 ulp off libm's on some inputs
+    lower, upper = arr < _ACK_PLOW, arr > 1.0 - _ACK_PLOW
+    tails = lower | upper
+    u = np.sqrt(-2.0 * np.array(_LOG(np.where(lower, arr, 1.0 - arr)[tails]), dtype=float))
+    x[tails] = np.copysign(_horner(_ACK_C, u) / _horner((*_ACK_D, 1.0), u), w[tails])
     # one Halley step against the erfc-based CDF lands well under 1e-10
     err = std_normal_cdf(x) - arr
     u = err * _SQRT_2PI * np.exp(0.5 * x * x)

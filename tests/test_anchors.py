@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from panelmetrics.anchors import (
+    MAX_T_DOF,
     AnchorSet,
     _winner_grid,
     _winner_match,
@@ -104,6 +105,15 @@ class TestStudentTAnchor:
             student_t_anchor(100, 0.5, 2.0)
         with pytest.raises(DomainError):
             student_t_anchor(100, 0.5, math.inf)
+        with pytest.raises(DomainError):
+            student_t_anchor(100, 0.5, 1e300)
+
+    def test_largest_dof_is_near_its_normal_limit(self):
+        """The last half decade of dof below MAX_T_DOF moves the anchor by
+        under 1e-5 at m <= 2000."""
+        for m, rho in ((10, 0.5), (2000, 0.8), (2000, 0.95)):
+            top = student_t_anchor(m, rho, MAX_T_DOF)
+            assert abs(top - student_t_anchor(m, rho, MAX_T_DOF / math.sqrt(10.0))) < 1e-5
 
 
 class TestHeavyTailAnchor:

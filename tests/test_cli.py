@@ -6,6 +6,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
+from panelmetrics import cli
 from panelmetrics.cli import main
 from panelmetrics.emit import fmt6
 from panelmetrics.empirics import ScoreTable, TaskScores, save_scores
@@ -263,6 +264,23 @@ class TestCurves:
 
     def test_tiny_m_exits_2(self, capsys):
         assert main(["curves", "--m", "5", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("dof", ["inf", "1e300", "nan", "2"])
+    def test_unusable_t_dof_exits_2_before_any_curve(self, capsys, monkeypatch, dof):
+        def no_curves(*args):
+            raise AssertionError("a curve was simulated")
+
+        monkeypatch.setattr(cli, "simulate_distribution_curve", no_curves)
+        assert main(["curves", "--t-dof", dof, "--m", "50", "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --t-dof must exceed 2 (finite variance) and be at most 1e+06; "
+            "t with more dof is normal to the anchor's accuracy\n"
+        )
+
+    def test_largest_t_dof_runs(self, capsys):
+        assert main(["curves", "--t-dof", "1e6", "--m", "50", "--trials", "2",
+                     "--points", "5"]) == 0
 
 
 SCALING_SMALL = [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -150,6 +152,29 @@ class TestStableRank:
 
     def test_full_set(self):
         assert top_slice(np.array([2.0, 1.0, 3.0]), 3) == [0, 1, 2]
+
+    @settings(max_examples=300)
+    @given(
+        x=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(-3.0, 3.0).map(lambda f: round(f, 1)),
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0]),
+            ),
+            max_size=400,
+        ).map(lambda xs: np.array(xs, dtype=float))
+    )
+    @example(x=np.full(50, 2.5))
+    @example(x=np.array([1.0, math.nan, math.nan, 3.0, math.nan, -1.0, math.nan]))
+    @example(x=np.array([0.0, -0.0, 0.0]))
+    @example(x=np.array([]))
+    def test_matches_stable_argsort_ranks(self, x):
+        """The default-argsort kernel with its tie fix-up ranks exactly like
+        a stable sort of the negated scores, NaN, infinities and signed
+        zeros included."""
+        expected = np.empty(x.size, dtype=np.int64)
+        expected[np.argsort(-x, kind="stable")] = np.arange(1, x.size + 1)
+        assert np.array_equal(stable_rank(x), expected)
 
 
 class TestKernelMatchesSetIntersection:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from panelmetrics import simulate
 from panelmetrics.errors import ConfigError, DomainError
-from panelmetrics.precision import stable_rank, top_count
+from panelmetrics.precision import log_q_grid, precision_curve, stable_rank, top_count
 from panelmetrics.simulate import (
     ScanPreset,
     Universe,
@@ -18,9 +18,16 @@ from panelmetrics.simulate import (
     mean_offdiag_correlation,
     panel_precision_scan,
     regress_b_on_rho,
+    simulate_distribution_curve,
     BGridRow,
 )
-from panelmetrics.streams import SeededStream
+from panelmetrics.streams import (
+    DISTRIBUTION_KINDS,
+    DistributionSpec,
+    SeededStream,
+    add_calibrated_noise,
+    sample_signal,
+)
 
 # small enough to keep the suite quick, large enough to be meaningful
 SMALL = dict(n_ais=20, m_candidates=400)
@@ -376,3 +383,22 @@ class TestRegressBOnRho:
         ]
         with pytest.raises(DomainError):
             regress_b_on_rho(rows)
+
+
+class TestSimulateDistributionCurve:
+    @pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+    def test_matches_per_trial_precision_curves(self, kind):
+        """The hoisted grid sizes give the average of the per-trial
+        precision_curve values bit for bit; at m = 10 a 50-point grid
+        holds each size several times."""
+        spec, m, rho, trials = DistributionSpec(kind), 10, 0.6, 7
+        grid = log_q_grid(m, 50)
+        assert np.unique(top_count(grid, m)).size < grid.size
+        stream = SeededStream(11).derive(3)
+        totals = np.zeros(grid.size)
+        for trial in range(trials):
+            nu = sample_signal(spec, m, stream.derive(0).derive(trial))
+            x = add_calibrated_noise(nu, rho, stream.derive(1).derive(trial))
+            totals += precision_curve(x, nu, grid).values
+        got = simulate_distribution_curve(spec, m, rho, trials, grid, stream)
+        assert got.tobytes() == (totals / trials).tobytes()

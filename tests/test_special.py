@@ -5,6 +5,7 @@ alone, so every function here is compared against its scipy counterpart
 over deliberately wide grids.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import scipy.special
 import scipy.stats
 
 from panelmetrics.errors import DomainError
+from panelmetrics import special
 from panelmetrics.special import (
     bivariate_normal_cdf,
     regularized_incomplete_beta,
@@ -95,10 +97,52 @@ class TestStdNormalQuantile:
         for p in (1e-6, 1e-3, 0.2, 0.5, 0.8, 1 - 1e-3, 1 - 1e-6):
             assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-7)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, math.nan, 5e-324, 1e-310])
     def test_domain(self, p):
         with pytest.raises(DomainError):
             std_normal_quantile(p)
+        with pytest.raises(DomainError):
+            std_normal_quantile(np.array([0.5, p]))
+
+    def test_matches_per_element_acklam_loop_bit_for_bit(self):
+        """Reference: Acklam's start one probability at a time in math, then
+        the same numpy Halley step. Covers the region boundaries and both
+        far tails."""
+        a, b, c, d = special._ACK_A, special._ACK_B, special._ACK_C, special._ACK_D
+        lo = special._ACK_PLOW
+
+        def start(q):
+            if lo <= q <= 1.0 - lo:
+                r = q - 0.5
+                s = r * r
+                return ((((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5])
+                        * r / (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0))
+            u = math.sqrt(-2.0 * math.log(q if q < lo else 1.0 - q))
+            x = (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / (
+                (((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
+            return x if q < lo else -x
+
+        g = np.random.default_rng(5)
+        edges = [lo, 1.0 - lo, np.finfo(float).tiny, 1.0 - 2.0**-53]
+        p = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            10.0 ** g.uniform(-307.5, -0.3, 4000), 1.0 - 10.0 ** g.uniform(-15.9, -0.3, 4000),
+            g.uniform(0.0, 1.0, 4000), (np.arange(1, 601) - 0.5) / 600,
+            # numpy 2.4's log is 1 ulp off libm's here on an AVX-512 x86-64 build
+            [0.003559376898021277, 0.9878341385230568, 0.9999999995196521, 0.976972, 0.978101],
+        ])
+        p = p[(p >= np.finfo(float).tiny) & (p < 1.0)]
+        x = np.array([start(q) for q in p.tolist()])
+        u = (std_normal_cdf(x) - p) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * x * x)
+        assert np.array_equal(std_normal_quantile(p), x - u / (1.0 + 0.5 * x * u))
+
+    def test_smallest_normal_probability_is_finite(self):
+        # below it (subnormal p) exp(x^2 / 2) in the Halley step overflows
+        tiny = np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = std_normal_quantile(np.array([tiny, 1e-300, 0.5]))
+        assert np.all(np.isfinite(x)) and x[0] < x[1] < x[2]
 
 
 class TestBivariateNormalCdf:

@@ -11,9 +11,11 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-The cases are the four benchmark workloads (``perfbench/workloads.py``)
-at seeds 0-2, then small runs of every command, including the paths
-that exit 2, 3 and 4, a ``--threads`` below 1, a non-numeric ``--n``,
+There are 45 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 33 small runs of every
+command, including the paths that exit 2, 3 and 4, a ``--threads``
+below 1, a non-numeric ``--n``, ``curves`` at m = 10 on a 50-point grid
+(whose top-k sizes repeat), a ``--t-dof`` of inf and of 1e300,
 the superstar tail of ``scaling --boost``, a ``scaling`` run of 131
 samples per size (two 64-sample scan blocks and a tail), a ``scaling``
 run whose only panel size is 1, a ``scaling`` ``--max-size`` above the
@@ -73,6 +75,10 @@ CASES = [
     ("curves t-dof 3", ["curves", "--t-dof", "3", "--m", "300", "--trials", "20",
                         "--out", OUT, "--format", ALL], ()),
     ("curves exit 2", ["curves", "--m", "5"], ()),
+    ("curves m 10", ["curves", "--m", "10", "--points", "50", "--trials", "3",
+                     "--out", OUT, "--format", ALL], ()),
+    ("curves t-dof inf", ["curves", "--t-dof", "inf", "--m", "50", "--trials", "2"], ()),
+    ("curves t-dof 1e300", ["curves", "--t-dof", "1e300", "--m", "50", "--trials", "2"], ()),
     ("scaling grid", ["scaling", "--q", "0.1,0.2", "--rho", "0.4,0.6", "--samples", "60",
                       "--max-size", "8", "--threads", "2", "--out", OUT,
                       "--format", ALL], ()),
