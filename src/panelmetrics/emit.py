@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "fmt6",
-    "to_jsonable",
     "csv_text",
     "row_table",
     "write_csv",
@@ -74,28 +73,17 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[A
     Path(path).write_text(csv_text(header, rows))
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert dataclasses/arrays/numpy scalars to JSON types."""
+def _json_default(obj: Any) -> Any:
+    """The JSON form of a dataclass (its fields), an array or a numpy scalar."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json.dumps(to_jsonable(obj), indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, default=_json_default) + "\n")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -22,9 +22,8 @@ import numpy as np
 from .errors import DataValidationError, DomainError
 from .laws import spearman_brown
 from .precision import PrecisionCurve, precision_curve
-from .simulate import correlation_summary
 from .special import std_normal_quantile, student_t_sf_two_sided
-from .streams import standardize
+from .streams import correlation_summary, standardize
 
 __all__ = [
     "TaskScores",
@@ -39,7 +38,6 @@ __all__ = [
     "load_scores",
     "save_scores",
     "optimal_weights",
-    "pairwise_correlations",
     "per_ai_precision_curves",
     "constrained_intercept_fit",
     "panel_subset_analysis",
@@ -257,11 +255,6 @@ def optimal_weights(corr: np.ndarray) -> np.ndarray:
             "weights are not a mixture"
         )
     return weights
-
-
-def pairwise_correlations(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Full Pearson correlation matrix and its mean off-diagonal value."""
-    return correlation_summary(matrix)
 
 
 def per_ai_precision_curves(
@@ -529,7 +522,7 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
     for task in table.tasks:
         mat = task.matrix
         m, n_ai = mat.shape
-        corr, rho_bar = pairwise_correlations(mat)
+        corr, rho_bar = correlation_summary(mat)
         weights = optimal_weights(corr)
         proxy = mat @ weights
         proxies.append(proxy)
@@ -558,12 +551,14 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
             )
         )
 
-    pooled = np.concatenate([t.matrix.ravel() for t in table.tasks])
+    # before summary_stats, whose pooled sd would overflow with a warning
+    # where qq_data's standardize rejects the pooled spread
+    qq_pairs = qq_data(np.concatenate([t.matrix.ravel() for t in table.tasks]))
     return EmpiricalReport(
         ai_names=table.ai_names,
         tasks=task_reports,
         summary=summary_stats(table),
-        qq_pairs=qq_data(pooled),
+        qq_pairs=qq_pairs,
         variance_weighted=variance_quality(table, proxies, "weighted"),
         variance_unweighted=variance_quality(
             table, [t.matrix.mean(axis=1) for t in table.tasks], "unweighted"

@@ -25,6 +25,7 @@ from .streams import (
     DistributionSpec,
     SeededStream,
     add_calibrated_noise,
+    correlation_summary,
     sample_signal,
     standardize,
     superstar_transform,
@@ -40,8 +41,6 @@ __all__ = [
     "PRESETS",
     "simulate_distribution_curve",
     "generate_universe",
-    "correlation_summary",
-    "mean_offdiag_correlation",
     "panel_precision_scan",
     "fit_exponent_b",
     "b_grid_scan",
@@ -201,38 +200,18 @@ def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> Universe:
     raw = np.sqrt(r)[None, :] * z_common[:, None] + np.sqrt(1.0 - r)[None, :] * z_own
     with np.errstate(over="ignore", invalid="ignore"):
         raw = superstar_transform(raw, cfg.boost)
-        finite = cfg.boost == 0 or np.isfinite(raw.std(axis=0)).all()
-    if not finite:
-        raise DomainError(f"boost {cfg.boost:g} overflows the tail transform")
-
-    scores = standardize(raw) * s[None, :] + _T_MEAN
+    try:
+        scores = standardize(raw) * s[None, :] + _T_MEAN
+    except DomainError:
+        # normal columns always spread, so only the boost can take that away
+        raise DomainError(f"boost {cfg.boost:g} overflows the tail transform") from None
 
     y_true = scores.mean(axis=1)
     return Universe(
         scores=scores,
         y_true=y_true,
-        measured_rho=mean_offdiag_correlation(scores),
+        measured_rho=correlation_summary(scores)[1],
     )
-
-
-def correlation_summary(scores: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pearson correlation matrix of the columns and its mean off-diagonal value."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[1] < 2:
-        raise DomainError("need a 2-d matrix with at least 2 columns")
-    # max == min finds a repeated value whose computed sd is not exactly 0;
-    # sd == 0 finds a spread too small for its square to be represented
-    constant = scores.max(axis=0) == scores.min(axis=0)
-    if np.any(constant | (scores.std(axis=0) == 0.0)):
-        raise DomainError("constant column has undefined correlation")
-    corr = np.corrcoef(scores, rowvar=False)
-    n = corr.shape[0]
-    return corr, float((corr.sum() - n) / (n * (n - 1)))
-
-
-def mean_offdiag_correlation(scores: np.ndarray) -> float:
-    """Average pairwise Pearson correlation over all off-diagonal pairs."""
-    return correlation_summary(scores)[1]
 
 
 def panel_precision_scan(
@@ -248,8 +227,8 @@ def panel_precision_scan(
     replacement, scores each candidate by the subset mean, and measures
     precision against y_true. The subsets of one size come from one
     bounded-integer draw that replays ``Generator.choice``'s stream
-    (``_panel_weights``), so they are the subsets a ``choice`` call per
-    sample would give, as long as numpy keeps ``choice``'s algorithm.
+    (``_panel_weights``), so where ``choice`` runs Floyd's algorithm they
+    are the subsets a ``choice`` call per sample would give.
     The subset means are computed as one matrix product with a sparse
     0/1-weight matrix; ``top_hits`` then counts each sample's top set in
     blocks of ``_SCAN_BLOCK`` columns, narrow so that each block's strided
@@ -297,22 +276,19 @@ def _panel_weights(
 ) -> np.ndarray:
     """n_ais x samples weights: 1/k on each column's random k scorers, else 0.
 
-    Bit for bit the weights of one ``g.choice(n_ais, k, replace=False)``
-    per column, leaving g where those calls would. choice draws Floyd's
-    picks in [0, j] for j = n_ais-k .. n_ais-1, then shuffles them with
-    draws in [0, i] for i = k-1 .. 1; none of these bounds depends on a
-    drawn value, so one ``integers`` call makes every sample's draws and
-    Floyd's rule (a pick already taken in its row becomes j) is replayed
-    column by column. The shuffle draws are only consumed: the weights
-    need the set, not its order.
+    Where numpy's ``choice`` runs Floyd's algorithm (n_ais <= 10000 or
+    k <= n_ais // 50), these are bit for bit the weights of one
+    ``g.choice(n_ais, k, replace=False)`` per column, and g ends where
+    those calls would leave it. choice draws Floyd's picks in [0, j] for
+    j = n_ais-k .. n_ais-1, then shuffles them with draws in [0, i] for
+    i = k-1 .. 1; none of these bounds depends on a drawn value, so one
+    ``integers`` call makes every sample's draws and Floyd's rule (a pick
+    already taken in its row becomes j) is replayed column by column. The
+    shuffle draws are only consumed: the weights need the set, not its
+    order. Above that boundary ``choice`` shuffles a full arange instead;
+    the replay still draws uniform k-subsets, but not ``choice``'s.
     """
     weights = np.zeros((n_ais, samples))
-    # numpy's choice tail-shuffles an arange instead of running Floyd's
-    # algorithm when n_ais > 10000 and k > n_ais // 50
-    if n_ais > 10000 and k > n_ais // 50:
-        for j in range(samples):
-            weights[g.choice(n_ais, k, replace=False), j] = 1.0 / k
-        return weights
     floyd = np.arange(n_ais - k, n_ais)
     bounds = np.tile(np.concatenate([floyd, np.arange(k - 1, 0, -1)]), samples)
     picks = g.integers(0, bounds, endpoint=True).reshape(samples, -1)[:, :k]

@@ -1,4 +1,5 @@
-"""Deterministic random generation for the simulators.
+"""Deterministic random generation for the simulators, and the column
+statistics that the simulators and the score-table analysis share.
 
 Every sampling operation in this module is a pure function of its inputs
 and a :class:`SeededStream` value: calling it twice with the same stream
@@ -9,6 +10,9 @@ The bit generator is numpy's Philox, a counter-based generator keyed by
 the 128-bit (seed, stream_id) pair. Distinct pairs give independent,
 platform-stable sequences, and creating a generator is cheap enough to
 do per operation.
+
+``standardize`` and ``correlation_summary`` check every column's spread
+by one rule, so a column either has a usable sd or raises DomainError.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ __all__ = [
     "add_calibrated_noise",
     "superstar_transform",
     "standardize",
+    "correlation_summary",
 ]
 
 #: signal distributions, in the order of the ``curves`` columns and streams
@@ -151,13 +156,42 @@ def superstar_transform(z: np.ndarray, boost: float) -> np.ndarray:
     return z + boost * excess
 
 
+def _column_sd(x: np.ndarray, constant: str) -> np.ndarray:
+    """Each column's sd (population divisor), or DomainError if one has none.
+
+    A column is constant, and raises with the caller's ``constant`` text,
+    when its max equals its min (a repeated value whose computed sd is not
+    exactly 0) or its sd is 0 (a spread too small for its square to be
+    represented). A column whose sd is not finite raises too: its squared
+    deviations overflow, or it holds inf or nan.
+    """
+    with np.errstate(all="ignore"):
+        sd = x.std(axis=0)
+    if np.any((x.max(axis=0) == x.min(axis=0)) | (sd == 0.0)):
+        raise DomainError(constant)
+    if not np.isfinite(sd).all():
+        raise DomainError(
+            "column sd is not finite: its squared deviations overflow, or it holds inf or nan"
+        )
+    return sd
+
+
 def standardize(x: np.ndarray) -> np.ndarray:
     """Center and scale each column to mean 0, sd 1 (population divisor).
 
     Works column-wise on a 2-d array; a 1-d array is one column.
     """
     x = np.asarray(x, dtype=float)
-    sd = x.std(axis=0)
-    if np.any(sd == 0.0):
-        raise DomainError("cannot standardize a constant column")
+    sd = _column_sd(x, "cannot standardize a constant column")
     return (x - x.mean(axis=0)) / sd
+
+
+def correlation_summary(scores: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pearson correlation matrix of the columns and its mean off-diagonal value."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[1] < 2:
+        raise DomainError("need a 2-d matrix with at least 2 columns")
+    _column_sd(scores, "constant column has undefined correlation")
+    corr = np.corrcoef(scores, rowvar=False)
+    n = corr.shape[0]
+    return corr, float((corr.sum() - n) / (n * (n - 1)))

@@ -16,7 +16,6 @@ from panelmetrics.cli import main
 from panelmetrics.empirics import (
     constrained_intercept_fit,
     optimal_weights,
-    pairwise_correlations,
     per_ai_precision_curves,
 )
 from panelmetrics.laws import (
@@ -45,6 +44,7 @@ from panelmetrics.streams import (
     DistributionSpec,
     SeededStream,
     add_calibrated_noise,
+    correlation_summary,
     sample_signal,
 )
 
@@ -189,7 +189,7 @@ def test_criterion_6_intercept_tracks_mean_correlation(equicorr_matrix):
     while len(intercepts) < 50:
         mat = equicorr_matrix(m, n_ai, 0.55, seed=seed)
         seed += 1
-        corr, rho_bar = pairwise_correlations(mat)
+        corr, rho_bar = correlation_summary(mat)
         if abs(rho_bar - 0.55) > 0.02:
             skipped += 1
             continue
@@ -291,7 +291,7 @@ def test_criterion_8_property_suite(equicorr_matrix):
     )
     checks["full_panel_precision_one"] = full.avg_precisions[0] == 1.0
 
-    weights = optimal_weights(pairwise_correlations(equicorr_matrix(300, 3, 0.5, seed=8))[0])
+    weights = optimal_weights(correlation_summary(equicorr_matrix(300, 3, 0.5, seed=8))[0])
     checks["weights_sum_one"] = abs(weights.sum() - 1.0) <= 1e-9
 
     cfg0 = UniverseConfig(target_rho=0.5, n_ais=40, m_candidates=1000)

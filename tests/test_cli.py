@@ -570,6 +570,31 @@ class TestAnalyze:
         assert main(["analyze", str(src)]) == 2
         assert "error: constant column has undefined correlation" in capsys.readouterr().err
 
+    @staticmethod
+    def _scaled_table(tmp_path, scale):
+        src = tmp_path / "huge.csv"
+        table = write_fixture_table(src, n_ai=3, names=("alpha",))
+        task = dataclasses.replace(table.tasks[0], matrix=table.tasks[0].matrix * scale)
+        save_scores(dataclasses.replace(table, tasks=(task,)), src)
+        return src
+
+    def test_huge_scores_leave_variance_quality_undefined(self, capsys, tmp_path):
+        # the variances' squared spread overflows, the scores' does not
+        src = self._scaled_table(tmp_path, 1e100)
+        assert main(["analyze", str(src), "--out", str(tmp_path / "report")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "variance-quality (weighted): r=undefined p=undefined" in captured.out
+        assert "variance-quality (unweighted): r=undefined p=undefined" in captured.out
+
+    def test_scores_whose_squares_overflow_exit_2(self, capsys, tmp_path):
+        src = self._scaled_table(tmp_path, 1e200)
+        assert main(["analyze", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            "error: column sd is not finite: its squared deviations overflow, "
+            "or it holds inf or nan\n"
+        )
+
     def test_empty_file_exits_4(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

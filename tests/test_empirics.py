@@ -11,7 +11,6 @@ from panelmetrics.empirics import (
     constrained_intercept_fit,
     load_scores,
     optimal_weights,
-    pairwise_correlations,
     panel_subset_analysis,
     per_ai_precision_curves,
     qq_data,
@@ -22,8 +21,7 @@ from panelmetrics.empirics import (
 )
 from panelmetrics.errors import DataValidationError, DomainError
 from panelmetrics.precision import PrecisionCurve
-from panelmetrics.simulate import mean_offdiag_correlation
-from panelmetrics.streams import SeededStream
+from panelmetrics.streams import SeededStream, correlation_summary
 
 
 def make_table(matrix, name="t1", attrs=None):
@@ -133,7 +131,7 @@ class TestLoadSaveScores:
 
 def weights_of(matrix):
     """The weights build_report gives a task's score matrix."""
-    return optimal_weights(pairwise_correlations(matrix)[0])
+    return optimal_weights(correlation_summary(matrix)[0])
 
 
 class TestOptimalWeights:
@@ -180,12 +178,12 @@ class TestOptimalWeights:
 class TestPairwiseCorrelations:
     def test_identical_columns(self):
         col = np.arange(20.0)
-        corr, rho_bar = pairwise_correlations(np.column_stack([col, col + 1]))
+        corr, rho_bar = correlation_summary(np.column_stack([col, col + 1]))
         assert np.allclose(corr, 1.0)
         assert rho_bar == pytest.approx(1.0)
 
     def test_symmetric_unit_diagonal(self, equicorr_matrix):
-        corr, _ = pairwise_correlations(equicorr_matrix(200, 4, 0.3))
+        corr, _ = correlation_summary(equicorr_matrix(200, 4, 0.3))
         assert np.max(np.abs(corr - corr.T)) < 1e-12
         assert np.allclose(np.diag(corr), 1.0)
 
@@ -194,14 +192,14 @@ class TestPairwiseCorrelations:
         calls = []
         corrcoef = np.corrcoef
         monkeypatch.setattr(np, "corrcoef", lambda *a, **k: calls.append(1) or corrcoef(*a, **k))
-        corr, rho_bar = pairwise_correlations(mat)
+        corr, rho_bar = correlation_summary(mat)
         assert len(calls) == 1
-        assert rho_bar == mean_offdiag_correlation(mat)
+        assert rho_bar == (corr.sum() - 4) / 12
         assert np.array_equal(corr, corrcoef(mat, rowvar=False))
 
     def test_constant_column_rejected(self):
         with pytest.raises(DomainError, match="constant column has undefined correlation"):
-            pairwise_correlations(np.column_stack([np.ones(10), np.arange(10.0)]))
+            correlation_summary(np.column_stack([np.ones(10), np.arange(10.0)]))
 
 
 class TestConstrainedInterceptFit:
@@ -333,6 +331,20 @@ class TestQQData:
     def test_needs_three_values(self):
         with pytest.raises(DomainError):
             qq_data(np.array([1.0, 2.0]))
+
+    # the repeated 7.3 gets a computed sd of 8.9e-16, not 0; the 1e200
+    # spread's squares overflow
+    @pytest.mark.parametrize(
+        "scores, message",
+        [
+            (np.full(7, 7.3), "constant column"),
+            (np.arange(7.0) * 1e200, "column sd is not finite"),
+        ],
+        ids=["repeated-value", "overflowing-spread"],
+    )
+    def test_degenerate_sample_rejected(self, scores, message):
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=message):
+            qq_data(scores)
 
 
 def truths_for(table, mode):

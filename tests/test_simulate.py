@@ -15,7 +15,6 @@ from panelmetrics.simulate import (
     b_grid_scan,
     fit_exponent_b,
     generate_universe,
-    mean_offdiag_correlation,
     panel_precision_scan,
     regress_b_on_rho,
     simulate_distribution_curve,
@@ -26,6 +25,7 @@ from panelmetrics.streams import (
     DistributionSpec,
     SeededStream,
     add_calibrated_noise,
+    correlation_summary,
     sample_signal,
 )
 
@@ -107,11 +107,11 @@ class TestGenerateUniverse:
 class TestMeanOffdiagCorrelation:
     def test_identical_columns(self):
         col = np.arange(10.0)
-        assert mean_offdiag_correlation(np.column_stack([col, col])) == pytest.approx(1.0)
+        assert correlation_summary(np.column_stack([col, col]))[1] == pytest.approx(1.0)
 
     def test_negated_column(self):
         col = np.arange(10.0)
-        assert mean_offdiag_correlation(np.column_stack([col, -col])) == pytest.approx(
+        assert correlation_summary(np.column_stack([col, -col]))[1] == pytest.approx(
             -1.0
         )
 
@@ -120,23 +120,28 @@ class TestMeanOffdiagCorrelation:
         mat = g.standard_normal((50, 3))
         c = np.corrcoef(mat, rowvar=False)
         expected = (c[0, 1] + c[0, 2] + c[1, 2]) / 3
-        assert mean_offdiag_correlation(mat) == pytest.approx(expected, abs=1e-12)
+        assert correlation_summary(mat)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_constant_column_rejected(self):
         with pytest.raises(DomainError):
-            mean_offdiag_correlation(np.column_stack([np.ones(5), np.arange(5.0)]))
+            correlation_summary(np.column_stack([np.ones(5), np.arange(5.0)]))
 
     # the repeated 7.3 gets a computed sd near 1e-16; the 1e-300 spread has
-    # max > min but an sd whose squares underflow to 0
+    # max > min but an sd whose squares underflow to 0; the 1e200 spread's
+    # squares overflow
     @pytest.mark.parametrize(
-        "column",
-        [np.full(600, 7.3), np.array([0.0, 1e-300] * 300)],
-        ids=["repeated-value", "underflowing-spread"],
+        "column, message",
+        [
+            (np.full(600, 7.3), "constant column"),
+            (np.array([0.0, 1e-300] * 300), "constant column"),
+            (np.array([0.0, 1e200] * 300), "column sd is not finite"),
+        ],
+        ids=["repeated-value", "underflowing-spread", "overflowing-spread"],
     )
-    def test_degenerate_column_rejected(self, column):
+    def test_degenerate_column_rejected(self, column, message):
         mat = np.column_stack([np.arange(600.0), column])
-        with pytest.raises(DomainError, match="constant column"):
-            mean_offdiag_correlation(mat)
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=message):
+            correlation_summary(mat)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +215,6 @@ class TestPanelWeights:
     @example((9, 9, 6, 1))  # k = n: Floyd's first bound is 0 and draws nothing
     @example((9, 1, 6, 2))  # k = 1: no shuffle draws
     @example((10001, 200, 3, 3))  # largest k numpy's choice runs Floyd's algorithm for
-    @example((10001, 201, 3, 4))  # tail-shuffle regime: one choice call per sample
     @settings(deadline=None)
     def test_replays_choice(self, case):
         n, k, samples, seed = case

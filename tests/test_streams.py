@@ -170,3 +170,21 @@ class TestStandardize:
         x = np.column_stack([np.arange(5.0), np.full(5, 3.3), np.arange(5.0) ** 2])
         with pytest.raises(DomainError):
             standardize(x)
+
+    # the repeated 7.3 gets a computed sd of 8.9e-16, not 0, and once
+    # standardized to seven 1.0s; the 1e200 spread's squares overflow, and
+    # it once standardized to zeros
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            (np.full(7, 7.3), "cannot standardize a constant column"),
+            (np.arange(7.0) * 1e200, "column sd is not finite"),
+        ],
+        ids=["repeated-value", "overflowing-spread"],
+    )
+    def test_degenerate_column_rejected(self, column, message):
+        x = np.column_stack([np.arange(7.0), column])
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=message):
+            standardize(x)
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=message):
+            standardize(column)
