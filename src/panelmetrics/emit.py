@@ -1,17 +1,21 @@
 """Result emission: CSV, JSON, and a small SVG plotter.
 
-The data files are the contract. CSV carries 6 significant digits for
-eyeballing and diffing; JSON keeps full double precision. The SVG
-renderer is a convenience view of data already written elsewhere, kept
-deliberately plain: polylines, two axes, a text legend.
+The data files are the contract; all are UTF-8. CSV carries 6
+significant digits for eyeballing and diffing. JSON keeps full double
+precision and is ``json.dumps(obj, indent=2)`` plus a newline, byte for
+byte, with dataclasses as their fields and numpy values as their
+``tolist()``. Float arrays go through one ``%`` format each, not one
+call per element. The SVG renderer is a convenience view of data
+already written elsewhere, kept deliberately plain: polylines, two
+axes, a text legend.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
 import io
-import json
 from html import escape
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -30,7 +34,7 @@ __all__ = [
 
 def fmt6(value: Any) -> str:
     """Render one CSV cell; floats get 6 significant digits."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return str(value).lower()
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.6g}"
@@ -45,11 +49,15 @@ def csv_text(header: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
     """The CSV table as text: a header line, then one line per row.
 
     Cells holding a comma, a quote or a line break are quoted, so every
-    row parses back to the header's width.
+    row parses back to the header's width. A 2-d float array of rows is
+    formatted in one pass; its cells read as ``fmt6`` would write them.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and _plain_float(rows):
+        line = ",".join(["%.6g"] * rows.shape[1]) + "\n"
+        return buf.getvalue() + line * rows.shape[0] % tuple(rows.ravel().tolist())
     writer.writerows([fmt6(cell) for cell in row] for row in rows)
     return buf.getvalue()
 
@@ -70,20 +78,71 @@ def row_table(
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
-    Path(path).write_text(csv_text(header, rows))
+    Path(path).write_text(csv_text(header, rows), encoding="utf-8")
 
 
-def _json_default(obj: Any) -> Any:
-    """The JSON form of a dataclass (its fields), an array or a numpy scalar."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+def _plain_float(a: np.ndarray) -> bool:
+    """Whether ``a.tolist()`` holds Python floats: float16 to float64."""
+    return a.dtype.kind == "f" and a.dtype.itemsize <= 8
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+def _block(items: list[str], level: int, brackets: str) -> str:
+    """``items`` between ``brackets``, one per line, indented as ``json`` does."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _json_key(key: Any) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_json_text(key, 0)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj: Any, level: int) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it at nesting ``level``.
+
+    The type checks run in ``json``'s order. A float array of finite
+    values is formatted in one pass, through a template of ``%r`` slots
+    laid out as its nested list would be.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, (list, tuple)):
+        return _block([_json_text(value, level + 1) for value in obj], level, "[]")
+    if isinstance(obj, dict):
+        return _block(
+            [f"{_json_key(k)}: {_json_text(v, level + 1)}" for k, v in obj.items()], level, "{}"
+        )
+    if isinstance(obj, np.ndarray) and _plain_float(obj) and np.isfinite(obj).all():
+        template = "%r"
+        for depth in range(obj.ndim - 1, -1, -1):
+            template = _block([template] * obj.shape[depth], level + depth, "[]")
+        return template % tuple(obj.ravel().tolist())
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
+        return _json_text(obj.tolist(), level)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _json_text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, level)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, default=_json_default) + "\n")
+    """Write ``json.dumps(obj, indent=2)`` and a newline; see the module docstring."""
+    Path(path).write_text(_json_text(obj, 0) + "\n", encoding="utf-8")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,4 +244,4 @@ def svg_line_plot(
             f'fill="{color}">{escape(s.label)}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .emit import write_json
 from .errors import DataValidationError, DomainError
 from .laws import spearman_brown
 from .precision import PrecisionCurve, precision_curve
@@ -205,7 +206,7 @@ def save_scores(table: ScoreTable, path: str | Path) -> None:
                 {
                     "name": task.name,
                     "candidates": [
-                        {"id": cand, "attr": attr, "scores": [float(s) for s in scores]}
+                        {"id": cand, "attr": attr, "scores": np.asarray(scores, dtype=float)}
                         for cand, attr, scores in zip(
                             task.candidate_ids, task.attrs, task.matrix
                         )
@@ -214,9 +215,7 @@ def save_scores(table: ScoreTable, path: str | Path) -> None:
                 for task in table.tasks
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(path, doc)
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

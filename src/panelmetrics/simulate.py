@@ -11,7 +11,6 @@ count.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 from typing import Sequence
@@ -391,6 +390,8 @@ def b_grid_scan(
 
     if threads == 1:
         return [run(cell) for cell in cells]
+    import concurrent.futures  # imports logging, about 7 ms, so only when threads are used
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run, cells))
 

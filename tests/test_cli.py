@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -665,6 +669,32 @@ class TestAnalyze:
             header, *rows = csv.reader(fh)
         assert all(len(row) == len(header) for row in rows)
         assert [row[0] for row in rows] == ["x,y", "beta"]
+
+    def test_non_ascii_scorer_under_the_c_locale_writes_utf8(self, tmp_path):
+        # Task names stay ASCII: they are printed, and stdout keeps the
+        # terminal's encoding.
+        table = write_fixture_table(tmp_path / "plain.csv")
+        src = tmp_path / "scores.csv"
+        save_scores(dataclasses.replace(table, ai_names=("é1", *table.ai_names[1:])), src)
+        out = tmp_path / "report"
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "panelmetrics.cli", "analyze", str(src), "--out", str(out),
+             "--format", "csv,json,svg"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()}
+        assert len(files) == 10
+        assert "p_é1" in files["curves.csv"].splitlines()[0]
+        assert ">é1</text>" in files["curves_alpha.svg"]
+        assert json.loads(files["report.json"])["ai_names"][0] == "é1"
 
 
 # The files of the README's "Output files" table, per command.

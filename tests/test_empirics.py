@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -78,6 +79,29 @@ class TestLoadSaveScores:
         again = load_scores(out)
         assert again.ai_names == table.ai_names
         assert np.array_equal(again.tasks[1].matrix, table.tasks[1].matrix)
+
+    def test_json_text_equals_json_dumps(self, tmp_path):
+        src = tmp_path / "scores.csv"
+        src.write_text(CSV_FIXTURE)
+        # An integer matrix is written as floats, as the JSON of a loaded table is.
+        whole = TaskScores('é, "gamma"', ("c0", "c1"), ("x", ""), np.array([[1, 2, 3], [4, 5, 6]]))
+        table = ScoreTable(("ai_1", "ai_é", "ai_3"), (*load_scores(src).tasks, whole))
+        doc = {
+            "ai_names": list(table.ai_names),
+            "tasks": [
+                {
+                    "name": task.name,
+                    "candidates": [
+                        {"id": cand, "attr": attr, "scores": [float(s) for s in scores]}
+                        for cand, attr, scores in zip(task.candidate_ids, task.attrs, task.matrix)
+                    ],
+                }
+                for task in table.tasks
+            ],
+        }
+        out = tmp_path / "scores.json"
+        save_scores(table, out)
+        assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("ascii")
 
     def test_missing_field_names_line(self, tmp_path):
         bad = tmp_path / "bad.csv"

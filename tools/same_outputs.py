@@ -11,8 +11,8 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 46 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 34 small runs of every
+There are 47 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 35 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, ``curves`` at m = 10 on a 50-point grid
 (whose top-k sizes repeat), a ``--t-dof`` of inf and of 1e300,
@@ -22,7 +22,9 @@ run whose only panel size is 1, a ``scaling`` ``--max-size`` above the
 preset's scorer count, a ``scaling`` grid with a repeated ``--q``, a
 table whose scorers all give ranks, one with a scorer that always gives
 7.3, one of a single task with two scorers and one of a single task
-scaled by 1e200, whose squared spread overflows. A full comparison takes
+scaled by 1e200, whose squared spread overflows, and one whose first
+scorer is named é1 and whose first task is named a,"b", which CSV must
+quote and JSON escape. A full comparison takes
 a few minutes.
 """
 from __future__ import annotations
@@ -112,6 +114,8 @@ CASES = [
     ("analyze two scorers", ["analyze", "pair.csv", "--out", OUT, "--format", ALL],
      ("pair.csv",)),
     ("analyze huge scores", ["analyze", "huge.csv", "--out", OUT], ("huge.csv",)),
+    ("analyze quoted and non-ASCII names", ["analyze", "names.csv", "--out", OUT,
+                                            "--format", ALL], ("names.csv",)),
     ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
     ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
 ]
@@ -123,7 +127,8 @@ def write_inputs(inputs: Path) -> None:
     """The analyze tables (seeds 0-2 as CSV; seed 0 also as JSON, with
     each column replaced by its ranks 1..m, as its first two tasks with
     the third scorer always 7.3, as its first task's first two scorers
-    and as its first task times 1e200) and a bad CSV."""
+    as its first task times 1e200, and with its first scorer named é1 and
+    its first task named a,"b") and a bad CSV."""
     for seed in range(3):
         (inputs / f"seed{seed}").mkdir(parents=True)
         workloads.write_inputs("analyze", seed, inputs / f"seed{seed}")
@@ -146,6 +151,9 @@ def write_inputs(inputs: Path) -> None:
     save_scores(ScoreTable(ai_names=table.ai_names[:2], tasks=(pair,)), inputs / "pair.csv")
     huge = dataclasses.replace(first, matrix=first.matrix * 1e200)
     save_scores(dataclasses.replace(table, tasks=(huge,)), inputs / "huge.csv")
+    quoted = dataclasses.replace(first, name='a,"b"')
+    save_scores(ScoreTable(ai_names=("é1", *table.ai_names[1:]), tasks=(quoted, *table.tasks[1:])),
+                inputs / "names.csv")
     (inputs / "bad.csv").write_text("task,candidate_id,attr,ai_1,ai_2\na,c0,,1.0,oops\n")
 
 
