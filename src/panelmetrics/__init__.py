@@ -28,7 +28,6 @@ from .laws import (
     spearman_brown,
 )
 from .precision import (
-    PrecisionCurve,
     generalized_precision,
     precision_at_q,
     precision_curve,
@@ -49,7 +48,6 @@ __all__ = [
     "single_precision_linear",
     "spearman_brown",
     "required_panel_size",
-    "PrecisionCurve",
     "precision_at_q",
     "generalized_precision",
     "precision_curve",

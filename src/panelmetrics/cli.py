@@ -228,13 +228,14 @@ def _regime_warning(q: float, rho: float) -> str | None:
 
 
 def cmd_formula(args) -> int:
+    clipped = not args.unclipped
+    # checks q and rho, so a bad value exits before the regime warning
+    b = efficiency_exponent(args.q, args.rho, clipped=clipped)
     warn = _regime_warning(args.q, args.rho)
     if warn:
         print(warn, file=sys.stderr)
-    clipped = not args.unclipped
     rows = []
     for n in args.n:
-        b = efficiency_exponent(args.q, args.rho, clipped=clipped)
         rows.append(
             (
                 n,

@@ -3,10 +3,12 @@ column per scorer.
 
 The chain mirrors the synthetic pipeline but starts from data: build a
 proxy ground truth from optimal scorer weights, measure per-scorer and
-panel-subset precision curves against it, summarize each curve by the
-intercept of a constrained linear fit, and compare panel gains with the
-Spearman-Brown prediction. Diagnostics (summary stats, QQ pairs,
-variance-vs-quality correlation) live here too.
+panel-subset precision curves against it (one ``precision_curve`` call
+for all scorers and one per sub-panel size, so the proxy is ranked once
+per call), summarize each curve by the intercept of a constrained linear
+fit, and compare panel gains with the Spearman-Brown prediction.
+Diagnostics (summary stats, QQ pairs, variance-vs-quality correlation)
+live here too.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from .emit import write_json
 from .errors import DataValidationError, DomainError
 from .laws import spearman_brown
-from .precision import PrecisionCurve, precision_curve
+from .precision import precision_curve
 from .special import std_normal_quantile, student_t_sf_two_sided
 from .streams import correlation_summary, standardize
 
@@ -39,7 +41,6 @@ __all__ = [
     "load_scores",
     "save_scores",
     "optimal_weights",
-    "per_ai_precision_curves",
     "constrained_intercept_fit",
     "panel_subset_analysis",
     "spearman_brown_comparison",
@@ -69,6 +70,12 @@ class ScoreTable:
 def _validate_table(table: ScoreTable) -> ScoreTable:
     if len(table.ai_names) < 2:
         raise DataValidationError("need at least 2 scorer columns")
+    repeated = [n for i, n in enumerate(table.ai_names) if n in table.ai_names[:i]]
+    if repeated:
+        raise DataValidationError(
+            f"scorer {repeated[0]!r}: two scorer columns have this name, so "
+            "their output columns and rows would collide"
+        )
     if not table.tasks:
         raise DataValidationError("no data rows found")
     seen = set()
@@ -235,8 +242,9 @@ def optimal_weights(corr: np.ndarray) -> np.ndarray:
     of ``corr`` (``np.linalg.eigh``), normalized to sum 1; the proxy
     truth is the raw score matrix times them. When every correlation is
     positive the eigenvector is entrywise positive (Perron-Frobenius) and
-    the weights are a proper mixture; a column that would get a negative
-    weight raises DomainError instead.
+    the weights are a proper mixture. An eigenvector with entries of both
+    signs (or summing to 0, as for two opposite scorers) raises
+    DomainError before it is normalized.
     """
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1] or corr.shape[0] < 2:
@@ -245,40 +253,29 @@ def optimal_weights(corr: np.ndarray) -> np.ndarray:
     vec = vectors[:, -1]
     if vec.sum() < 0:
         vec = -vec
-    weights = vec / vec.sum()
-    if np.any(weights < 0):
-        col = int(np.argmin(weights))
+    col = int(np.argmin(vec))
+    if vec[col] < 0:
         raise DomainError(
             f"scorer column {col} correlates negatively with the others: "
-            f"its leading-eigenvector weight is {weights[col]:.3g}, so the "
+            f"its leading-eigenvector entry is {vec[col]:.3g}, so the "
             "weights are not a mixture"
         )
-    return weights
+    return vec / vec.sum()
 
 
-def per_ai_precision_curves(
-    matrix: np.ndarray, y: np.ndarray, q_grid: np.ndarray
-) -> tuple[list[PrecisionCurve], PrecisionCurve]:
-    """Precision curve of each scorer column against y, plus their mean."""
-    matrix = np.asarray(matrix, dtype=float)
-    curves = [precision_curve(matrix[:, i], y, q_grid) for i in range(matrix.shape[1])]
-    avg = np.mean([c.values for c in curves], axis=0)
-    return curves, PrecisionCurve(np.asarray(q_grid, dtype=float), avg)
-
-
-def constrained_intercept_fit(curve: PrecisionCurve) -> float:
+def constrained_intercept_fit(q_grid: np.ndarray, values: np.ndarray) -> float:
     """Intercept at q=0 of the least-squares line through (1, 1).
 
-    Fitting P(q) = 1 + s*(q - 1) leaves one free parameter; the
-    intercept 1 - s summarizes the whole curve the way a correlation
-    would under the linear single-scorer law.
+    Fitting P(q) = 1 + s*(q - 1) to the curve ``values`` over ``q_grid``
+    leaves one free parameter; the intercept 1 - s summarizes the whole
+    curve the way a correlation would under the linear single-scorer law.
     """
-    dq = curve.q_grid - 1.0
+    dq = q_grid - 1.0
     denom = float(dq @ dq)
     if denom == 0.0:
         # grid is the single point q=1, where every curve passes through 1
         return 1.0
-    slope = float((curve.values - 1.0) @ dq) / denom
+    slope = float((values - 1.0) @ dq) / denom
     return 1.0 - slope
 
 
@@ -291,34 +288,30 @@ class SubsetSizeRow:
 
 
 def panel_subset_analysis(
-    matrix: np.ndarray,
-    y: np.ndarray,
-    sizes: Sequence[int] = (2, 3, 4),
-    q_grid: np.ndarray | None = None,
+    matrix: np.ndarray, y: np.ndarray, sizes: Sequence[int], q_grid: np.ndarray
 ) -> list[SubsetSizeRow]:
     """Average constrained intercept of every k-scorer sub-panel.
 
     For each size, every subset of scorer columns is averaged into a
-    panel score, its precision curve against y measured, and the
-    constrained intercepts averaged over subsets.
+    panel score, the panels' precision curves against y are measured in
+    one ``precision_curve`` call, and their constrained intercepts are
+    averaged over subsets.
     """
     matrix = np.asarray(matrix, dtype=float)
     n_ai = matrix.shape[1]
     sizes = [int(k) for k in sizes]
     if any(k < 1 or k > n_ai for k in sizes):
         raise DomainError(f"subset sizes must lie in 1..{n_ai}")
-    if q_grid is None:
-        q_grid = np.linspace(1.0 / matrix.shape[0], 1.0, 50)
 
     rows: list[SubsetSizeRow] = []
     prev: float | None = None
     for k in sizes:
-        intercepts = []
-        for combo in itertools.combinations(range(n_ai), k):
-            panel = matrix[:, combo].mean(axis=1)
-            intercepts.append(
-                constrained_intercept_fit(precision_curve(panel, y, q_grid))
-            )
+        combos = itertools.combinations(range(n_ai), k)
+        panels = np.column_stack([matrix[:, combo].mean(axis=1) for combo in combos])
+        intercepts = [
+            constrained_intercept_fit(q_grid, values)
+            for values in precision_curve(panels, y, q_grid)
+        ]
         avg = float(np.mean(intercepts))
         pct = None if prev is None else (avg - prev) / prev * 100.0
         rows.append(
@@ -526,8 +519,9 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
         proxy = mat @ weights
         proxies.append(proxy)
         q_grid = np.linspace(1.0 / m, 1.0, q_points)
-        curves, avg_curve = per_ai_precision_curves(mat, proxy, q_grid)
-        intercept = constrained_intercept_fit(avg_curve)
+        per_ai_values = precision_curve(mat, proxy, q_grid)
+        average_values = per_ai_values.mean(axis=0)
+        intercept = constrained_intercept_fit(q_grid, average_values)
 
         sizes = [k for k in (2, 3, 4) if k <= n_ai]
         subset_rows = panel_subset_analysis(mat, proxy, sizes, q_grid)
@@ -541,8 +535,8 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
                 correlation=corr,
                 weights=weights,
                 q_grid=q_grid,
-                per_ai_values=np.array([c.values for c in curves]),
-                average_values=avg_curve.values,
+                per_ai_values=per_ai_values,
+                average_values=average_values,
                 intercept=intercept,
                 intercept_vs_rho_pct=(intercept - rho_bar) / rho_bar * 100.0,
                 subset_rows=subset_rows,

@@ -4,6 +4,8 @@ Given observed scores x and true quality v over the same m candidates,
 ``precision_at_q`` selects the top q-fraction by each and reports the
 overlap fraction. ``generalized_precision`` decouples the two fractions
 so a q-slice of x can be scored against an h-slice of v.
+``precision_curve`` gives precision over a grid of q, for one scorer or
+for every column of a score matrix against one truth, as a plain array.
 
 Every overlap is counted from ranks: ``stable_rank`` argsorts a vector
 once and puts tied runs back in index order, and the top-k slice is the
@@ -14,7 +16,6 @@ its k-th largest value instead.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "PrecisionCurve",
     "top_count",
     "stable_rank",
     "overlap_counts",
@@ -153,29 +153,22 @@ def log_q_grid(m: int, points: int = 50) -> np.ndarray:
     return grid
 
 
-@dataclasses.dataclass(frozen=True)
-class PrecisionCurve:
-    """Precision evaluated over an ascending quantile grid."""
+def precision_curve(x: np.ndarray, v: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
+    """Precision against v at every grid point, for x or for each column of x.
 
-    q_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.q_grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if q.shape != vals.shape or q.ndim != 1:
-            raise DomainError("q_grid and values must be 1-d and equal length")
-        if q.size == 0:
-            raise DomainError("q_grid must not be empty")
-        if not (np.all(np.diff(q) > 0) and 0.0 < q[0] and q[-1] <= 1.0):
-            raise DomainError("q_grid must be strictly increasing within (0, 1]")
-        object.__setattr__(self, "q_grid", q)
-        object.__setattr__(self, "values", vals)
-
-
-def precision_curve(x: np.ndarray, v: np.ndarray, q_grid: np.ndarray) -> PrecisionCurve:
-    """Precision at every grid point, from one ranking of each vector."""
+    x is an m-vector, which gives one value per grid point, or an m x c
+    matrix, which gives a c x len(q_grid) array: one row per column. v is
+    ranked and the grid's top-k sizes are found once per call, so a
+    matrix costs one ``stable_rank`` per column plus one.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
-    rank_x, rank_v = _ranks(x, v)
-    ks = top_count(q_grid, rank_x.size)
-    return PrecisionCurve(q_grid, overlap_counts(rank_x, rank_v)[ks] / ks)
+    if v.ndim != 1 or x.ndim not in (1, 2) or x.shape[0] != v.size:
+        raise DomainError("v must be a 1-d vector and x a vector or matrix of as many rows")
+    if q_grid.ndim != 1 or q_grid.size == 0:
+        raise DomainError("q_grid must be a non-empty 1-d grid")
+    ks = top_count(q_grid, v.size)
+    rank_v = stable_rank(v)
+    hits = [overlap_counts(stable_rank(col), rank_v)[ks] for col in np.atleast_2d(x.T)]
+    return np.reshape(hits, x.shape[1:] + ks.shape) / ks

@@ -16,7 +16,6 @@ from panelmetrics.cli import main
 from panelmetrics.empirics import (
     constrained_intercept_fit,
     optimal_weights,
-    per_ai_precision_curves,
 )
 from panelmetrics.laws import (
     PanelQuery,
@@ -25,7 +24,12 @@ from panelmetrics.laws import (
     panel_precision,
     spearman_brown,
 )
-from panelmetrics.precision import generalized_precision, precision_at_q, top_count
+from panelmetrics.precision import (
+    generalized_precision,
+    precision_at_q,
+    precision_curve,
+    top_count,
+)
 from panelmetrics.simulate import (
     PRESETS,
     UniverseConfig,
@@ -193,8 +197,8 @@ def test_criterion_6_intercept_tracks_mean_correlation(equicorr_matrix):
         if abs(rho_bar - 0.55) > 0.02:
             skipped += 1
             continue
-        _, avg_curve = per_ai_precision_curves(mat, mat @ optimal_weights(corr), grid)
-        intercepts.append(constrained_intercept_fit(avg_curve))
+        curves = precision_curve(mat, mat @ optimal_weights(corr), grid)
+        intercepts.append(constrained_intercept_fit(grid, curves.mean(axis=0)))
         rho_bars.append(rho_bar)
     elapsed = time.perf_counter() - t0
 

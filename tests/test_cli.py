@@ -102,6 +102,16 @@ class TestFormula:
         assert main(["formula", "--q", "1.5", "--rho", "0.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "q, rho, message",
+        [("-1", "0.5", "q must lie in (0, 1], got -1.0"),
+         ("0.2", "1.5", "rho must lie in [0, 1], got 1.5")],
+    )
+    def test_value_checked_before_regime_warning(self, capsys, q, rho, message):
+        # both values are outside the regime too; only the error is printed
+        assert main(["formula", "--q", q, "--rho", rho]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["formula", "--q", "0.2"])
@@ -650,6 +660,33 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'dup'" in err
         assert not out.exists()
+
+    def test_duplicate_scorer_name_exits_4(self, capsys, tmp_path):
+        src = tmp_path / "scores.csv"
+        src.write_text(
+            "task,candidate_id,attr,x,x,y\n"
+            + "".join(f"a,c{j},,{j},{j % 3},{j % 4}\n" for j in range(8))
+        )
+        out = tmp_path / "report"
+        assert main(["analyze", str(src), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: scorer 'x'") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_opposite_scorers_exit_2(self, capsys, tmp_path):
+        # b = -a: the leading eigenvector sums to 0 and cannot be normalized
+        a = np.round(np.random.default_rng(3).standard_normal(40), 1)
+        src = tmp_path / "scores.csv"
+        src.write_text(
+            "task,candidate_id,attr,a,b\n"
+            + "".join(f"t,c{j},,{x!r},{-x!r}\n" for j, x in enumerate(a.tolist()))
+        )
+        assert main(["analyze", str(src), "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scorer column") and err.count("\n") == 1
+        number = float(err.split("entry is ")[1].split(",")[0])
+        assert np.isfinite(number)
 
     def test_markup_in_task_name_gives_well_formed_svg(self, tmp_path):
         src = tmp_path / "scores.json"

@@ -13,7 +13,6 @@ from panelmetrics.empirics import (
     load_scores,
     optimal_weights,
     panel_subset_analysis,
-    per_ai_precision_curves,
     qq_data,
     save_scores,
     spearman_brown_comparison,
@@ -21,7 +20,7 @@ from panelmetrics.empirics import (
     variance_quality,
 )
 from panelmetrics.errors import DataValidationError, DomainError
-from panelmetrics.precision import PrecisionCurve
+from panelmetrics.precision import precision_curve
 from panelmetrics.streams import SeededStream, correlation_summary
 
 
@@ -152,6 +151,17 @@ class TestLoadSaveScores:
         with pytest.raises(DataValidationError, match="'dup'"):
             load_scores(path)
 
+    def test_duplicate_scorer_name(self, tmp_path):
+        # two p_x columns in curves.csv and two indistinguishable
+        # variance_quality rows otherwise
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "task,candidate_id,attr,x,x,y\n"
+            + "".join(f"a,c{j},,{j},{j % 3},{j % 4}\n" for j in range(8))
+        )
+        with pytest.raises(DataValidationError, match="scorer 'x': two scorer columns"):
+            load_scores(path)
+
 
 def weights_of(matrix):
     """The weights build_report gives a task's score matrix."""
@@ -198,6 +208,15 @@ class TestOptimalWeights:
         with pytest.raises(DomainError, match="scorer column 3 correlates negatively"):
             weights_of(negative_scorer_matrix)
 
+    @pytest.mark.filterwarnings("error")
+    def test_opposite_pair_rejected_before_normalizing(self):
+        # the leading eigenvector of [[1, -1], [-1, 1]] sums to 0
+        a = np.round(SeededStream(5).generator().standard_normal(40), 1)
+        with pytest.raises(DomainError, match="correlates negatively") as exc:
+            weights_of(np.column_stack([a, -a]))
+        number = re.search(r"entry is (\S+),", str(exc.value)).group(1)
+        assert np.isfinite(float(number)) and float(number) < 0
+
 
 class TestPairwiseCorrelations:
     def test_identical_columns(self):
@@ -229,16 +248,16 @@ class TestPairwiseCorrelations:
 class TestConstrainedInterceptFit:
     def test_exact_line_recovered(self):
         grid = np.linspace(0.02, 1.0, 50)
-        curve = PrecisionCurve(grid, 1.0 + (grid - 1.0) * (1.0 - 0.591))
-        assert constrained_intercept_fit(curve) == pytest.approx(0.591, abs=1e-12)
+        curve = 1.0 + (grid - 1.0) * (1.0 - 0.591)
+        assert constrained_intercept_fit(grid, curve) == pytest.approx(0.591, abs=1e-12)
 
     def test_all_ones_curve(self):
         grid = np.linspace(0.1, 1.0, 10)
-        assert constrained_intercept_fit(PrecisionCurve(grid, np.ones(10))) == 1.0
+        assert constrained_intercept_fit(grid, np.ones(10)) == 1.0
 
     def test_diagonal_curve(self):
         grid = np.linspace(0.05, 1.0, 20)
-        assert constrained_intercept_fit(PrecisionCurve(grid, grid.copy())) == (
+        assert constrained_intercept_fit(grid, grid.copy()) == (
             pytest.approx(0.0, abs=1e-12)
         )
 
@@ -246,8 +265,8 @@ class TestConstrainedInterceptFit:
         # the n=1 law P(q) = rho + q(1-rho) is a line through (1,1)
         rho = 0.545
         grid = np.linspace(0.01, 1.0, 60)
-        curve = PrecisionCurve(grid, rho + grid * (1 - rho))
-        assert constrained_intercept_fit(curve) == pytest.approx(rho, abs=1e-9)
+        curve = rho + grid * (1 - rho)
+        assert constrained_intercept_fit(grid, curve) == pytest.approx(rho, abs=1e-9)
 
 
 class TestPerAiCurves:
@@ -256,22 +275,23 @@ class TestPerAiCurves:
         truth = g.standard_normal(150)
         mat = np.column_stack([truth, g.standard_normal(150)])
         grid = np.linspace(1 / 150, 1.0, 20)
-        curves, avg = per_ai_precision_curves(mat, truth, grid)
-        assert np.all(curves[0].values == 1.0)
-        assert np.allclose(avg.values, (curves[0].values + curves[1].values) / 2)
+        curves = precision_curve(mat, truth, grid)
+        assert np.all(curves[0] == 1.0)
+        assert np.allclose(curves.mean(axis=0), (curves[0] + curves[1]) / 2)
 
 
 class TestPanelSubsetAnalysis:
     def test_identical_columns_give_intercept_one(self):
         col = np.arange(60.0)
         mat = np.column_stack([col] * 4)
-        rows = panel_subset_analysis(mat, col, sizes=(2, 3, 4))
+        rows = panel_subset_analysis(mat, col, (2, 3, 4), np.linspace(1 / 60, 1.0, 50))
         for row in rows:
             assert row.avg_intercept == pytest.approx(1.0)
 
     def test_subset_counts(self, equicorr_matrix):
         mat = equicorr_matrix(80, 5, 0.5)
-        rows = panel_subset_analysis(mat, mat @ weights_of(mat), sizes=(2, 3, 4))
+        grid = np.linspace(1 / 80, 1.0, 50)
+        rows = panel_subset_analysis(mat, mat @ weights_of(mat), (2, 3, 4), grid)
         assert [r.n_subsets for r in rows] == [10, 10, 5]
         assert rows[0].improvement_pct is None
         assert rows[1].improvement_pct is not None
@@ -280,16 +300,16 @@ class TestPanelSubsetAnalysis:
         mat = equicorr_matrix(120, 4, 0.5, seed=3)
         proxy = mat @ weights_of(mat)
         grid = np.linspace(1 / 120, 1.0, 30)
-        rows = panel_subset_analysis(mat, proxy, sizes=(1,), q_grid=grid)
-        _, avg_curve = per_ai_precision_curves(mat, proxy, grid)
+        rows = panel_subset_analysis(mat, proxy, (1,), grid)
+        average = precision_curve(mat, proxy, grid).mean(axis=0)
         assert rows[0].avg_intercept == pytest.approx(
-            constrained_intercept_fit(avg_curve), abs=1e-12
+            constrained_intercept_fit(grid, average), abs=1e-12
         )
 
     def test_oversized_subset_rejected(self):
         mat = SeededStream(7).generator().normal(size=(20, 3))
         with pytest.raises(DomainError):
-            panel_subset_analysis(mat, mat.mean(axis=1), sizes=(4,))
+            panel_subset_analysis(mat, mat.mean(axis=1), (4,), np.linspace(0.05, 1.0, 20))
 
 
 class TestSpearmanBrownComparison:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from panelmetrics import precision
 from panelmetrics.errors import DomainError
 from panelmetrics.precision import (
-    PrecisionCurve,
     generalized_precision,
     log_q_grid,
     precision_at_q,
@@ -204,7 +204,7 @@ class TestKernelMatchesSetIntersection:
             reference_overlap(x, v, top_count(g, m), top_count(g, m)) / top_count(g, m)
             for g in grid
         ]
-        assert list(precision_curve(x, v, grid).values) == expected
+        assert list(precision_curve(x, v, grid)) == expected
 
 
 class TestPrecisionAtQ:
@@ -330,14 +330,14 @@ class TestPrecisionCurve:
         g = SeededStream(8).generator()
         x = g.standard_normal(100)
         curve = precision_curve(x, x, log_q_grid(100, 20))
-        assert np.all(curve.values == 1.0)
+        assert np.all(curve == 1.0)
 
     def test_value_at_q_one(self):
         g = SeededStream(9).generator()
         curve = precision_curve(
             g.standard_normal(60), g.standard_normal(60), np.array([0.5, 1.0])
         )
-        assert curve.values[-1] == 1.0
+        assert curve[-1] == 1.0
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 5))
@@ -349,14 +349,28 @@ class TestPrecisionCurve:
         assert precision_at_q(x, v, 0.2) == pytest.approx(0.2, abs=0.05)
 
     def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            PrecisionCurve(np.array([0.5, 0.2]), np.array([1.0, 1.0]))
-        with pytest.raises(DomainError):
-            PrecisionCurve(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
-        with pytest.raises(DomainError):
-            PrecisionCurve(np.array([0.2, 0.5]), np.array([1.0]))
-        with pytest.raises(DomainError):
-            precision_curve(np.arange(5.0), np.arange(5.0), [])
+        x = np.arange(5.0)
+        with pytest.raises(DomainError, match="non-empty 1-d grid"):
+            precision_curve(x, x, [])
+        with pytest.raises(DomainError, match="non-empty 1-d grid"):
+            precision_curve(x, x, [[0.2, 0.5]])
+        with pytest.raises(DomainError, match="1-d vector"):
+            precision_curve(x, np.column_stack([x, x]), [0.5])
+        with pytest.raises(DomainError, match="as many rows"):
+            precision_curve(np.arange(4.0), x, [0.5])
+        with pytest.raises(DomainError, match="as many rows"):
+            precision_curve(np.zeros((4, 2)), x, [0.5])
+        with pytest.raises(DomainError, match="as many rows"):
+            precision_curve(np.zeros((5, 2, 1)), x, [0.5])
+
+    def test_grid_order_is_free(self):
+        # each value depends on its own q only, so a descending grid is fine
+        g = SeededStream(10).generator()
+        x, v = g.standard_normal((2, 40))
+        grid = log_q_grid(40, 9)
+        assert np.array_equal(
+            precision_curve(x, v, grid[::-1]), precision_curve(x, v, grid)[::-1]
+        )
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, 1.5, np.nan])
     def test_q_outside_unit_interval(self, bad):
@@ -369,4 +383,37 @@ class TestPrecisionCurve:
         x, v = np.round(g.standard_normal((2, 10)), 1)
         grid = np.array([0.05, 0.25, 0.35, 0.55, 1.0])
         expected = [precision_at_q(x, v, q) for q in grid]
-        assert list(precision_curve(x, v, grid).values) == expected
+        assert list(precision_curve(x, v, grid)) == expected
+
+    @settings(max_examples=200)
+    @given(
+        m=st.integers(1, 40),
+        c=st.integers(1, 6),
+        points=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_rows_equal_column_calls(self, m, c, points, seed):
+        # scores rounded to one decimal tie heavily, in x and in v
+        g = np.random.default_rng(seed)
+        x = np.round(g.uniform(-2.0, 2.0, (m, c)), 1)
+        v = np.round(g.uniform(-2.0, 2.0, m), 1)
+        grid = np.sort(g.uniform(0.0, 1.0, points)) * (1.0 - 1.0 / m) + 1.0 / m
+        got = precision_curve(x, v, grid)
+        assert got.shape == (c, points)
+        expected = np.array([precision_curve(col, v, grid) for col in x.T])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_truth_ranked_once(self, monkeypatch):
+        calls = {"stable_rank": 0, "top_count": 0}
+
+        def counting(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(precision, "stable_rank", counting(stable_rank))
+        monkeypatch.setattr(precision, "top_count", counting(top_count))
+        g = SeededStream(12).generator()
+        precision_curve(g.standard_normal((50, 7)), g.standard_normal(50), log_q_grid(50, 9))
+        assert calls == {"stable_rank": 7 + 1, "top_count": 1}

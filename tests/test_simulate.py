@@ -403,6 +403,6 @@ class TestSimulateDistributionCurve:
         for trial in range(trials):
             nu = sample_signal(spec, m, stream.derive(0).derive(trial))
             x = add_calibrated_noise(nu, rho, stream.derive(1).derive(trial))
-            totals += precision_curve(x, nu, grid).values
+            totals += precision_curve(x, nu, grid)
         got = simulate_distribution_curve(spec, m, rho, trials, grid, stream)
         assert got.tobytes() == (totals / trials).tobytes()

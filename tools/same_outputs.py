@@ -11,21 +11,23 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 47 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 35 small runs of every
+There are 50 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 38 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
-below 1, a non-numeric ``--n``, ``curves`` at m = 10 on a 50-point grid
-(whose top-k sizes repeat), a ``--t-dof`` of inf and of 1e300,
+below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
+law's regime as well as its domain), ``curves`` at m = 10 on a 50-point
+grid (whose top-k sizes repeat), a ``--t-dof`` of inf and of 1e300,
 the superstar tail of ``scaling --boost``, a ``scaling`` run of 131
 samples per size (two 64-sample scan blocks and a tail), a ``scaling``
 run whose only panel size is 1, a ``scaling`` ``--max-size`` above the
 preset's scorer count, a ``scaling`` grid with a repeated ``--q``, a
 table whose scorers all give ranks, one with a scorer that always gives
-7.3, one of a single task with two scorers and one of a single task
-scaled by 1e200, whose squared spread overflows, and one whose first
+7.3, one of a single task with two scorers, one of a single task
+scaled by 1e200, whose squared spread overflows, one whose first
 scorer is named é1 and whose first task is named a,"b", which CSV must
-quote and JSON escape. A full comparison takes
-a few minutes.
+quote and JSON escape, one whose first two scorers share a name, and one
+of a single task whose two scorers are exactly opposite. A full
+comparison takes a few minutes.
 """
 from __future__ import annotations
 
@@ -66,6 +68,7 @@ CASES = [
     ("formula threads -3", ["formula", "--q", "0.2", "--rho", "0.5", "--threads", "-3",
                             "--out", OUT], ()),
     ("formula n x", ["formula", "--q", "0.2", "--rho", "0.5", "--n", "x"], ()),
+    ("formula q -1", ["formula", "--q", "-1", "--rho", "0.5"], ()),
     ("plan reachable", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75",
                         "--out", OUT], ()),
     ("plan exit 3", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.99",
@@ -116,6 +119,9 @@ CASES = [
     ("analyze huge scores", ["analyze", "huge.csv", "--out", OUT], ("huge.csv",)),
     ("analyze quoted and non-ASCII names", ["analyze", "names.csv", "--out", OUT,
                                             "--format", ALL], ("names.csv",)),
+    ("analyze repeated scorer name", ["analyze", "twins.csv", "--out", OUT], ("twins.csv",)),
+    ("analyze opposite scorers", ["analyze", "opposite.csv", "--out", OUT],
+     ("opposite.csv",)),
     ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
     ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
 ]
@@ -127,8 +133,10 @@ def write_inputs(inputs: Path) -> None:
     """The analyze tables (seeds 0-2 as CSV; seed 0 also as JSON, with
     each column replaced by its ranks 1..m, as its first two tasks with
     the third scorer always 7.3, as its first task's first two scorers
-    as its first task times 1e200, and with its first scorer named é1 and
-    its first task named a,"b") and a bad CSV."""
+    as its first task times 1e200, with its first scorer named é1 and
+    its first task named a,"b", with its second scorer named as its first,
+    and as its first task's first scorer beside its negation) and a bad
+    CSV."""
     for seed in range(3):
         (inputs / f"seed{seed}").mkdir(parents=True)
         workloads.write_inputs("analyze", seed, inputs / f"seed{seed}")
@@ -154,6 +162,11 @@ def write_inputs(inputs: Path) -> None:
     quoted = dataclasses.replace(first, name='a,"b"')
     save_scores(ScoreTable(ai_names=("é1", *table.ai_names[1:]), tasks=(quoted, *table.tasks[1:])),
                 inputs / "names.csv")
+    save_scores(dataclasses.replace(table, ai_names=(table.ai_names[0], *table.ai_names[:-1])),
+                inputs / "twins.csv")
+    opposite = dataclasses.replace(first, matrix=np.column_stack([first.matrix[:, 0],
+                                                                  -first.matrix[:, 0]]))
+    save_scores(ScoreTable(ai_names=("a", "b"), tasks=(opposite,)), inputs / "opposite.csv")
     (inputs / "bad.csv").write_text("task,candidate_id,attr,ai_1,ai_2\na,c0,,1.0,oops\n")
 
 
