@@ -219,11 +219,14 @@ def _write_outputs(args, files: dict, **config) -> None:
 
 
 def _regime_warning(q: float, rho: float) -> str | None:
+    """Print the warning on stderr when (q, rho) is outside the law's regime; return it."""
     if q < 0.05 or rho > 0.9:
-        return (
+        warn = (
             "warning: q < 0.05 or rho > 0.9 is outside the regime the "
             "exponent law was fitted on; treat values as extrapolation"
         )
+        print(warn, file=sys.stderr)
+        return warn
     return None
 
 
@@ -232,8 +235,6 @@ def cmd_formula(args) -> int:
     # checks q and rho, so a bad value exits before the regime warning
     b = efficiency_exponent(args.q, args.rho, clipped=clipped)
     warn = _regime_warning(args.q, args.rho)
-    if warn:
-        print(warn, file=sys.stderr)
     rows = []
     for n in args.n:
         rows.append(
@@ -267,6 +268,8 @@ def cmd_formula(args) -> int:
 
 def cmd_plan(args) -> int:
     n = required_panel_size(args.q, args.rho, args.target, args.n_max)
+    # every argument is checked by now, so a bad value exits without the warning
+    _regime_warning(args.q, args.rho)
     achieved = (
         None if n is None else panel_precision(PanelQuery(q=args.q, rho=args.rho, n=n))
     )
@@ -332,10 +335,7 @@ def cmd_curves(args) -> int:
     )
 
     header = ("q", *(f"p_{kind}" for kind in DISTRIBUTION_KINDS), "reference")
-    rows = [
-        (grid[i], *(curves[kind][i] for kind in DISTRIBUTION_KINDS), ref[i])
-        for i in range(grid.size)
-    ]
+    rows = np.column_stack([grid, *curves.values(), ref])
     series = [PlotSeries(kind, grid, curves[kind]) for kind in DISTRIBUTION_KINDS]
     series.append(PlotSeries("reference", grid, ref))
     series.append(
@@ -478,14 +478,9 @@ def cmd_analyze(args) -> int:
         "curves.csv": (
             ("task", "q", "p_avg", *(f"p_{ai}" for ai in report.ai_names)),
             (
-                (
-                    t.name,
-                    t.q_grid[i],
-                    t.average_values[i],
-                    *(t.per_ai_values[j, i] for j in range(len(report.ai_names))),
-                )
+                (t.name, *row)
                 for t in report.tasks
-                for i in range(t.q_grid.size)
+                for row in np.column_stack([t.q_grid, t.average_values, t.per_ai_values.T])
             ),
         ),
         "qq.csv": (("theoretical", "sample"), report.qq_pairs),

@@ -508,7 +508,7 @@ def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
     comparable with the linear law it summarizes.
     """
     if q_points < 2:
-        raise DomainError("q_points must be at least 2")
+        raise DomainError("the quantile grid needs at least 2 points")
     task_reports: list[TaskReport] = []
     proxies = []
     for task in table.tasks:

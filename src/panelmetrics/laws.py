@@ -140,7 +140,7 @@ def required_panel_size(
     if not 0.0 < target < 1.0:
         raise DomainError("target must lie strictly between 0 and 1")
     if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+        raise DomainError("the largest panel size must be at least 1")
     for n in range(1, n_max + 1):
         if panel_precision(PanelQuery(q=q, rho=rho, n=n)) >= target:
             return n

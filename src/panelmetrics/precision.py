@@ -7,12 +7,13 @@ so a q-slice of x can be scored against an h-slice of v.
 ``precision_curve`` gives precision over a grid of q, for one scorer or
 for every column of a score matrix against one truth, as a plain array.
 
-Every overlap is counted from ranks: ``stable_rank`` argsorts a vector
-once and puts tied runs back in index order, and the top-k slice is the
-set of ranks <= k. ``overlap_counts`` turns two rankings into the overlap
-size for every k at once. ``top_hits`` counts the same top-k sets for
-every column of a matrix without sorting: it partitions each column at
-its k-th largest value instead.
+Every top-k set is decided by ``stable_rank``, the only code that breaks
+ties: it argsorts a vector once and puts tied runs back in index order,
+and the top-k slice is the set of ranks <= k. ``overlap_counts`` turns
+two rankings into the overlap size for every k at once. ``top_hits``
+counts the same top-k sets for every column of a matrix, partitioning
+each column at its k-th largest value and ranking only a column whose
+tie straddles that cut; it rejects NaN.
 """
 from __future__ import annotations
 
@@ -86,11 +87,12 @@ def overlap_counts(rank_x: np.ndarray, rank_v: np.ndarray) -> np.ndarray:
 def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     """How many ``truth`` rows each column's top-k rows hold, for an m x B block.
 
-    A column's top-k rows are those with ``stable_rank(column) <= k``: the
-    k largest values, ties going to the lower row index. ``np.partition``
-    finds each column's k-th largest value t. Every row above t is in the
-    set, and so is every row equal to t, unless a tie with t is left below
-    the partition point; only such a column picks its tied rows by index.
+    A column's top-k rows are those with ``stable_rank(column) <= k``, so
+    ties are ``stable_rank``'s. ``np.partition`` finds each column's k-th
+    largest value t, and every row at or above t is in the set unless a
+    tie with t is left below the partition point; only such a column is
+    ranked. A column holding NaN raises ``DomainError``: the partition
+    sorts NaN last, so any NaN lands in the rows from m - k on.
     """
     est = np.asarray(estimates, dtype=float)
     truth = np.asarray(truth, dtype=bool)
@@ -100,31 +102,19 @@ def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= m:
         raise DomainError(f"k must lie in 1..{m}")
     part = np.partition(est, m - k, axis=0)
+    if np.isnan(part[m - k :]).any():
+        raise DomainError("estimates must not hold NaN")
     t = part[m - k]
-    est_true = est[truth]
-    hits = np.count_nonzero(est_true >= t, axis=0)
+    hits = np.count_nonzero(est[truth] >= t, axis=0)
     if k < m:
         for j in np.flatnonzero(part[: m - k].max(axis=0) == t):
-            col = est[:, j]
-            slots = k - np.count_nonzero(col > t[j])
-            tied = np.flatnonzero(col == t[j])[:slots]
-            hits[j] = np.count_nonzero(est_true[:, j] > t[j]) + np.count_nonzero(truth[tied])
+            hits[j] = np.count_nonzero(truth & (stable_rank(est[:, j]) <= k))
     return hits
-
-
-def _ranks(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape or x.ndim != 1:
-        raise DomainError("x and v must be 1-d vectors of equal length")
-    return stable_rank(x), stable_rank(v)
 
 
 def precision_at_q(x: np.ndarray, v: np.ndarray, q: float) -> float:
     """Overlap fraction between the top q-slices of x and v."""
-    rank_x, rank_v = _ranks(x, v)
-    k = top_count(q, rank_x.size)
-    return np.count_nonzero(np.maximum(rank_x, rank_v) <= k) / k
+    return generalized_precision(q, q, x, v)
 
 
 def generalized_precision(
@@ -132,12 +122,15 @@ def generalized_precision(
 ) -> float:
     """Fraction of the true top-h slice captured by the top-q slice of x.
 
-    Equals precision_at_q when h == q; bounded above by min(1, k_q/k_h).
+    ``precision_at_q`` is the case h == q; bounded above by min(1, k_q/k_h).
     """
-    rank_x, rank_v = _ranks(x, v)
-    k_h = top_count(h, rank_x.size)
-    k_q = top_count(q, rank_x.size)
-    return np.count_nonzero((rank_v <= k_h) & (rank_x <= k_q)) / k_h
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.shape != v.shape or x.ndim != 1:
+        raise DomainError("x and v must be 1-d vectors of equal length")
+    k_h = top_count(h, x.size)
+    k_q = top_count(q, x.size)
+    return np.count_nonzero((stable_rank(v) <= k_h) & (stable_rank(x) <= k_q)) / k_h
 
 
 def log_q_grid(m: int, points: int = 50) -> np.ndarray:

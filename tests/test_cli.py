@@ -230,6 +230,48 @@ class TestPlan:
     def test_bad_target_exits_2(self, capsys):
         assert main(["plan", "--q", "0.2", "--rho", "0.55", "--target", "1.0"]) == 2
 
+    @pytest.mark.parametrize(
+        "q, rho, warned",
+        [("0.01", "0.95", True), ("0.01", "0.5", True), ("0.2", "0.95", True),
+         ("0.2", "0.55", False)],
+    )
+    def test_regime_warning_on_stderr_only(self, capsys, tmp_path, q, rho, warned):
+        argv = ["plan", "--q", q, "--rho", rho, "--target", "0.9", "--n-max", "3"]
+        rc = main([*argv, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        warning = (
+            "warning: q < 0.05 or rho > 0.9 is outside the regime the exponent law "
+            "was fitted on; treat values as extrapolation\n"
+        )
+        assert captured.err == (warning if warned else "")
+        # stdout and plan.json carry no trace of the warning
+        assert "warning" not in captured.out
+        assert list(json.loads((tmp_path / "plan.json").read_text())) == [
+            "q", "rho", "target", "n_max", "required_n", "achieved_precision"
+        ]
+        assert rc in (0, 3)
+
+    def test_regime_warning_leaves_stdout_as_is(self, capsys):
+        assert main(["plan", "--q", "0.01", "--rho", "0.95", "--target", "0.9"]) == 0
+        achieved = panel_precision(PanelQuery(q=0.01, rho=0.95, n=1))
+        assert capsys.readouterr().out == (
+            f"panel of 1 reaches precision {fmt6(achieved)} (target 0.9) at q=0.01, rho=0.95\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--q", "-1", "--rho", "0.5"], "q must lie in (0, 1], got -1.0"),
+            (["--q", "0.01", "--rho", "1.5"], "rho must lie in [0, 1], got 1.5"),
+            (["--q", "0.01", "--rho", "0.95", "--n-max", "0"],
+             "the largest panel size must be at least 1"),
+        ],
+        ids=["q", "rho", "n-max"],
+    )
+    def test_bad_value_exits_2_without_warning(self, capsys, argv, error):
+        assert main(["plan", *argv, "--target", "0.9"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 class TestCurves:
     def run_small(self, out, fmt="csv,json,svg"):
@@ -536,6 +578,12 @@ class TestAnalyze:
             assert doc[mode]["r"] is None and doc[mode]["p_value"] is None
             assert len(doc[mode]["rows"]) == 2
         assert [row["size"] for row in doc["tasks"][0]["sb_rows"]] == [2]
+
+    def test_single_q_point_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "scores.csv"
+        write_fixture_table(src)
+        assert main(["analyze", str(src), "--q-points", "1"]) == 2
+        assert capsys.readouterr().err == "error: the quantile grid needs at least 2 points\n"
 
     def test_missing_file_exits_4(self, capsys, tmp_path):
         rc = main(["analyze", str(tmp_path / "absent.csv")])

@@ -106,6 +106,18 @@ class TestTopHits:
         for k in range(1, 6):
             assert list(top_hits(block, truth, k)) == list(reference_hits(block, truth, k))
 
+    @pytest.mark.parametrize(
+        "column",
+        [[np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [np.nan, np.nan, 2.0], [np.nan] * 3],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nan_rejected(self, column, k):
+        # stable_rank puts NaN last, so the top 2 of [nan, 1, 2] hold row 1;
+        # counting from the partition alone returned 0 for that column
+        est = np.column_stack([[0.0, 1.0, 2.0], column])
+        with pytest.raises(DomainError, match="NaN"):
+            top_hits(est, np.array([False, True, False]), k)
+
     def test_domain(self):
         est = np.zeros((4, 2))
         with pytest.raises(DomainError):

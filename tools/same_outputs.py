@@ -11,12 +11,14 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 50 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 38 small runs of every
+There are 53 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 41 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
-law's regime as well as its domain), ``curves`` at m = 10 on a 50-point
-grid (whose top-k sizes repeat), a ``--t-dof`` of inf and of 1e300,
+law's regime as well as its domain), a ``plan`` outside the law's
+regime, a ``plan --n-max`` of 0, an ``analyze --q-points`` of 1,
+``curves`` at m = 10 on a 50-point grid (whose top-k sizes repeat), a
+``--t-dof`` of inf and of 1e300,
 the superstar tail of ``scaling --boost``, a ``scaling`` run of 131
 samples per size (two 64-sample scan blocks and a tail), a ``scaling``
 run whose only panel size is 1, a ``scaling`` ``--max-size`` above the
@@ -74,6 +76,10 @@ CASES = [
     ("plan exit 3", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.99",
                      "--n-max", "5", "--out", OUT], ()),
     ("plan exit 2", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "1.5"], ()),
+    ("plan regime warning", ["plan", "--q", "0.01", "--rho", "0.95", "--target", "0.9",
+                             "--out", OUT], ()),
+    ("plan n-max 0", ["plan", "--q", "0.2", "--rho", "0.5", "--target", "0.5",
+                      "--n-max", "0"], ()),
     ("curves", ["curves", "--m", "300", "--trials", "20", "--seed=4", "--out", OUT,
                 "--format", ALL], ()),
     ("curves svg", ["curves", "--m", "120", "--trials", "10", "--points", "12",
@@ -110,6 +116,8 @@ CASES = [
      ("seed0/scores.json",)),
     ("analyze json 20 points", ["analyze", "scores.json", "--q-points", "20",
                                 "--out", OUT, "--format", ALL], ("seed0/scores.json",)),
+    ("analyze 1 point", ["analyze", "scores.json", "--q-points", "1", "--out", OUT],
+     ("seed0/scores.json",)),
     ("analyze rank-scored", ["analyze", "ranks.csv", "--out", OUT, "--format", ALL],
      ("ranks.csv",)),
     ("analyze repeated value", ["analyze", "repeated.csv", "--out", OUT],
