@@ -41,8 +41,10 @@ _TAIL_MASS = 1e-4
 # std_normal_cdf(z) rounds to exactly 1.0 from here on
 _PHI_ONE = 8.3
 # largest dof the Student-t anchor takes: up to here its change per half
-# decade of dof shrinks like 1/dof, to under 1e-5 at m <= 2000; from ~1e7
-# rounding makes it grow again, and at 1e300 the incomplete beta fails.
+# decade of dof shrinks like 1/dof, to under 1e-5 at m <= 100,000. The
+# density is normalised by its grid mass, not by a gamma-function ratio
+# that cancels in rounding, so the trend holds past 1e8; at 1e300 the
+# incomplete beta fails.
 MAX_T_DOF = 1e6
 
 
@@ -57,16 +59,10 @@ class AnchorSet:
     p_avg_02: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "q_anchor",
-            "normal_limit",
-            "t_limit",
-            "heavy_tail_estimate",
-            "p_avg_02",
-        ):
-            val = getattr(self, name)
+        for field in dataclasses.fields(self):
+            val = getattr(self, field.name)
             if not 0.0 <= val <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {val}")
+                raise DomainError(f"{field.name} must lie in [0, 1], got {val}")
 
 
 def normal_limit_anchor(m: int, rho: float) -> float:
@@ -140,19 +136,20 @@ def _winner_match(
     For each Gauss-Hermite node e, G(v, v + sigma e) is one FFT
     convolution of f with the kernel Phi(e + w / sigma), w = v - u >= 0,
     by the trapezoid rule with its h^2 end correction at w = 0. The
-    kernel is cut where Phi rounds to 1; the signal mass beyond the cut
-    is a running sum of f, and the mass below the grid is F(-L). Above
-    the grid the winner's chance m * S(L) is weighted by the match
-    probability at v = L.
+    density f is normalised by its grid mass: its trapezoid sum plus
+    the two tails 2 S(L) is exactly 1, since G^(m-1) multiplies any mass
+    error by m - 1. The kernel is cut where Phi rounds to 1; the signal
+    mass beyond the cut is a running sum of f, and the mass below the
+    grid is F(-L). Above the grid the winner's chance m * S(L) is
+    weighted by the match probability at v = L.
     """
     n = math.ceil(2.0 * half_width / step) + 1
     v = np.linspace(-half_width, half_width, n)
     h = v[1] - v[0]
-    log_c = math.lgamma(0.5 * (dof + 1.0)) - math.lgamma(0.5 * dof)
-    norm = math.exp(log_c) / math.sqrt(dof * math.pi)
-    f = norm * (1.0 + v * v / dof) ** (-0.5 * (dof + 1.0))
-    df = -(dof + 1.0) * v / (dof + v * v) * f
+    f = (1.0 + v * v / dof) ** (-0.5 * (dof + 1.0))
     tail = 0.5 * student_t_sf_two_sided(half_width, dof)
+    f *= (1.0 - 2.0 * tail) / (h * (f.sum() - 0.5 * (f[0] + f[-1])))
+    df = -(dof + 1.0) * v / (dof + v * v) * f
 
     # probabilists' Gauss-Hermite rule by Golub-Welsch; weights below
     # 1e-16 are eigh's rounding noise and would only lengthen the kernel

@@ -305,8 +305,6 @@ def cmd_plan(args) -> int:
 def cmd_curves(args) -> int:
     if args.m < 10:
         raise DomainError("m must be at least 10")
-    if args.trials < 1:
-        raise DomainError("trials must be at least 1")
     if not 0.0 < args.rho < 1.0:
         raise DomainError("rho must lie strictly between 0 and 1")
     if not 2.0 < args.t_dof <= MAX_T_DOF:
@@ -346,14 +344,12 @@ def cmd_curves(args) -> int:
             kind="points",
         )
     )
+    params = {"m": args.m, "rho": args.rho, "trials": args.trials, "t_dof": args.t_dof}
     files = {
         "curves.csv": (header, rows),
         "anchors.csv": row_table(AnchorSet, [anchors]),
         "curves.json": {
-            "m": args.m,
-            "rho": args.rho,
-            "trials": args.trials,
-            "t_dof": args.t_dof,
+            **params,
             "q_grid": grid,
             "curves": curves,
             "reference": ref,
@@ -367,15 +363,7 @@ def cmd_curves(args) -> int:
             xlog=True,
         ),
     }
-    _write_outputs(
-        args,
-        files,
-        m=args.m,
-        rho=args.rho,
-        trials=args.trials,
-        t_dof=args.t_dof,
-        points=args.points,
-    )
+    _write_outputs(args, files, **params, points=args.points)
     return 0
 
 

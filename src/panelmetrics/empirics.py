@@ -141,7 +141,6 @@ def _load_csv(path: Path) -> ScoreTable:
             )
         ai_names = tuple(h.strip() for h in header[3:])
 
-        order: list[str] = []
         rows: dict[str, list[tuple[str, str, list[float]]]] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -158,20 +157,9 @@ def _load_csv(path: Path) -> ScoreTable:
                 raise DataValidationError(
                     f"{path}:{line_no}: non-numeric score"
                 ) from None
-            if task not in rows:
-                rows[task] = []
-                order.append(task)
-            rows[task].append((cand, attr, scores))
+            rows.setdefault(task, []).append((cand, attr, scores))
 
-    tasks = tuple(
-        TaskScores(
-            name=name,
-            candidate_ids=tuple(cand for cand, _, _ in rows[name]),
-            attrs=tuple(attr for _, attr, _ in rows[name]),
-            matrix=np.array([scores for _, _, scores in rows[name]], dtype=float),
-        )
-        for name in order
-    )
+    tasks = tuple(_task(name, task_rows) for name, task_rows in rows.items())
     return _validate_table(ScoreTable(ai_names=ai_names, tasks=tasks))
 
 
@@ -184,20 +172,28 @@ def _load_json(path: Path) -> ScoreTable:
     try:
         ai_names = tuple(str(n) for n in doc["ai_names"])
         tasks = tuple(
-            TaskScores(
-                name=str(t["name"]),
-                candidate_ids=tuple(str(c["id"]) for c in t["candidates"]),
-                attrs=tuple(str(c.get("attr", "")) for c in t["candidates"]),
-                matrix=np.array(
-                    [[float(s) for s in c["scores"]] for c in t["candidates"]],
-                    dtype=float,
-                ),
+            _task(
+                str(t["name"]),
+                [
+                    (str(c["id"]), str(c.get("attr", "")), [float(s) for s in c["scores"]])
+                    for c in t["candidates"]
+                ],
             )
             for t in doc["tasks"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: malformed score table: {exc}") from None
     return _validate_table(ScoreTable(ai_names=ai_names, tasks=tasks))
+
+
+def _task(name: str, rows: list[tuple[str, str, list[float]]]) -> TaskScores:
+    """One task from its (candidate id, attr, scores) rows, in file order."""
+    return TaskScores(
+        name=name,
+        candidate_ids=tuple(cand for cand, _, _ in rows),
+        attrs=tuple(attr for _, attr, _ in rows),
+        matrix=np.array([scores for _, _, scores in rows], dtype=float),
+    )
 
 
 def save_scores(table: ScoreTable, path: str | Path) -> None:

@@ -163,6 +163,8 @@ def simulate_distribution_curve(
     Per trial: draw the signal, add noise calibrated to correlation rho,
     and measure the noisy scores' precision curve against the signal.
     """
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     signal_root = stream.derive(0)
     noise_root = stream.derive(1)
     ks = top_count(q_grid, m)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,10 +111,19 @@ class TestStudentTAnchor:
 
     def test_largest_dof_is_near_its_normal_limit(self):
         """The last half decade of dof below MAX_T_DOF moves the anchor by
-        under 1e-5 at m <= 2000."""
-        for m, rho in ((10, 0.5), (2000, 0.8), (2000, 0.95)):
+        under 1e-5 at m <= 100,000."""
+        for m, rho in ((10, 0.5), (2000, 0.8), (2000, 0.95), (100000, 0.99)):
             top = student_t_anchor(m, rho, MAX_T_DOF)
             assert abs(top - student_t_anchor(m, rho, MAX_T_DOF / math.sqrt(10.0))) < 1e-5
+
+    def test_half_decade_changes_shrink_like_one_over_dof_at_large_m(self):
+        """With the density normalised by its grid mass, G^(m-1) sees no
+        mass error, so at m = 100,000 each half decade of dof from 1e5 to
+        1e6 moves the anchor by about sqrt(10) times less than the one
+        before; a mass error of 1e-10 would be multiplied by m - 1."""
+        values = [student_t_anchor(100000, 0.99, 10.0 ** e) for e in (5.0, 5.5, 6.0)]
+        first, second = abs(values[1] - values[0]), abs(values[2] - values[1])
+        assert second * 2.5 <= first
 
 
 class TestHeavyTailAnchor:
@@ -169,6 +179,9 @@ class TestAnchorSet:
         ):
             assert 0.0 <= value <= 1.0
 
-    def test_rejects_out_of_range_fraction(self):
-        with pytest.raises(DomainError):
-            AnchorSet(0.01, 1.5, 0.5, 0.5, 0.5)
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(AnchorSet)])
+    def test_rejects_out_of_range_fraction(self, field):
+        inside = {f.name: 0.5 for f in dataclasses.fields(AnchorSet)}
+        for value in (-0.1, 1.5):
+            with pytest.raises(DomainError, match=f"^{field} must lie in"):
+                AnchorSet(**{**inside, field: value})

@@ -10,7 +10,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from panelmetrics import cli
+from panelmetrics import cli, simulate
 from panelmetrics.cli import main
 from panelmetrics.emit import fmt6
 from panelmetrics.empirics import ScoreTable, TaskScores, save_scores
@@ -334,6 +334,13 @@ class TestCurves:
             "t with more dof is normal to the anchor's accuracy\n"
         )
 
+    def test_zero_trials_exits_2_before_any_draw(self, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(simulate, "sample_signal", lambda *a: draws.append(a))
+        assert main(["curves", "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "error: trials must be at least 1\n"
+        assert draws == []
+
     def test_largest_t_dof_runs(self, capsys):
         assert main(["curves", "--t-dof", "1e6", "--m", "50", "--trials", "2",
                      "--points", "5"]) == 0
@@ -452,8 +459,6 @@ class TestScaling:
         ],
     )
     def test_bad_cell_exits_2_before_any_universe(self, capsys, monkeypatch, argv, error):
-        from panelmetrics import simulate
-
         draws = []
         monkeypatch.setattr(simulate, "generate_universe", lambda *a: draws.append(a))
         assert main(["scaling", *argv]) == 2

@@ -406,3 +406,11 @@ class TestSimulateDistributionCurve:
             totals += precision_curve(x, nu, grid)
         got = simulate_distribution_curve(spec, m, rho, trials, grid, stream)
         assert got.tobytes() == (totals / trials).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(DomainError, match="^trials must be at least 1$"):
+            simulate_distribution_curve(
+                DistributionSpec("normal"), 10, 0.6, trials, log_q_grid(10, 5), SeededStream(0)
+            )

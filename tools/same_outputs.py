@@ -11,14 +11,15 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 53 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 41 small runs of every
+There are 55 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 43 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
 law's regime as well as its domain), a ``plan`` outside the law's
 regime, a ``plan --n-max`` of 0, an ``analyze --q-points`` of 1,
 ``curves`` at m = 10 on a 50-point grid (whose top-k sizes repeat), a
-``--t-dof`` of inf and of 1e300,
+``--t-dof`` of inf and of 1e300, a ``curves --trials`` of 0, ``curves``
+at m = 100,000 with ``--t-dof`` 1e6,
 the superstar tail of ``scaling --boost``, a ``scaling`` run of 131
 samples per size (two 64-sample scan blocks and a tail), a ``scaling``
 run whose only panel size is 1, a ``scaling`` ``--max-size`` above the
@@ -91,6 +92,9 @@ CASES = [
                      "--out", OUT, "--format", ALL], ()),
     ("curves t-dof inf", ["curves", "--t-dof", "inf", "--m", "50", "--trials", "2"], ()),
     ("curves t-dof 1e300", ["curves", "--t-dof", "1e300", "--m", "50", "--trials", "2"], ()),
+    ("curves trials 0", ["curves", "--trials", "0"], ()),
+    ("curves large m", ["curves", "--m", "100000", "--rho", "0.99", "--t-dof", "1e6",
+                        "--trials", "2", "--points", "5", "--out", OUT, "--format", ALL], ()),
     ("scaling grid", ["scaling", "--q", "0.1,0.2", "--rho", "0.4,0.6", "--samples", "60",
                       "--max-size", "8", "--threads", "2", "--out", OUT,
                       "--format", ALL], ()),
