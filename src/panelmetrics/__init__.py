@@ -12,19 +12,16 @@ of it from the shell.
 __version__ = "0.1.0"
 
 from .errors import (
-    ConfigError,
     DataValidationError,
     DomainError,
     NumericalError,
     PanelMetricsError,
 )
 from .laws import (
-    PanelQuery,
     effective_rho,
     efficiency_exponent,
     panel_precision,
     required_panel_size,
-    single_precision_linear,
     spearman_brown,
 )
 from .precision import (
@@ -38,14 +35,11 @@ __all__ = [
     "__version__",
     "PanelMetricsError",
     "DomainError",
-    "ConfigError",
     "DataValidationError",
     "NumericalError",
-    "PanelQuery",
     "panel_precision",
     "effective_rho",
     "efficiency_exponent",
-    "single_precision_linear",
     "spearman_brown",
     "required_panel_size",
     "precision_at_q",

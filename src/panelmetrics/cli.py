@@ -40,7 +40,6 @@ from .empirics import (
 )
 from .errors import DataValidationError, DomainError, PanelMetricsError
 from .laws import (
-    PanelQuery,
     effective_rho,
     efficiency_exponent,
     panel_precision,
@@ -235,16 +234,10 @@ def cmd_formula(args) -> int:
     # checks q and rho, so a bad value exits before the regime warning
     b = efficiency_exponent(args.q, args.rho, clipped=clipped)
     warn = _regime_warning(args.q, args.rho)
-    rows = []
-    for n in args.n:
-        rows.append(
-            (
-                n,
-                b,
-                effective_rho(n, args.rho, b),
-                panel_precision(PanelQuery(q=args.q, rho=args.rho, n=n), clipped=clipped),
-            )
-        )
+    rows = [
+        (n, b, effective_rho(n, args.rho, b), panel_precision(args.q, args.rho, n, b))
+        for n in args.n
+    ]
     header = ("n", "b", "rho_n", "precision")
     print(csv_text(header, rows), end="")
 
@@ -270,24 +263,12 @@ def cmd_plan(args) -> int:
     n = required_panel_size(args.q, args.rho, args.target, args.n_max)
     # every argument is checked by now, so a bad value exits without the warning
     _regime_warning(args.q, args.rho)
-    achieved = (
-        None if n is None else panel_precision(PanelQuery(q=args.q, rho=args.rho, n=n))
-    )
-    doc = {
-        "q": args.q,
-        "rho": args.rho,
-        "target": args.target,
-        "n_max": args.n_max,
-        "required_n": n,
-        "achieved_precision": achieved,
-    }
+    b = efficiency_exponent(args.q, args.rho)
+    achieved = None if n is None else panel_precision(args.q, args.rho, n, b)
+    params = {"q": args.q, "rho": args.rho, "target": args.target, "n_max": args.n_max}
+    doc = {**params, "required_n": n, "achieved_precision": achieved}
     _write_outputs(
-        args,
-        {"plan.json": doc, "plan.csv": (tuple(doc), [tuple(doc.values())])},
-        q=args.q,
-        rho=args.rho,
-        target=args.target,
-        n_max=args.n_max,
+        args, {"plan.json": doc, "plan.csv": (tuple(doc), [tuple(doc.values())])}, **params
     )
     if n is None:
         print(

@@ -496,7 +496,7 @@ class EmpiricalReport:
     variance_unweighted: VarianceQualityResult
 
 
-def build_report(table: ScoreTable, q_points: int = 50) -> EmpiricalReport:
+def build_report(table: ScoreTable, q_points: int) -> EmpiricalReport:
     """Run the full analysis chain over every task in the table.
 
     Curves are evaluated on a uniform quantile grid from 1/m to 1; the

@@ -3,7 +3,6 @@
 __all__ = [
     "PanelMetricsError",
     "DomainError",
-    "ConfigError",
     "DataValidationError",
     "NumericalError",
 ]
@@ -15,10 +14,6 @@ class PanelMetricsError(Exception):
 
 class DomainError(PanelMetricsError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class ConfigError(PanelMetricsError, ValueError):
-    """A configuration object is inconsistent or names an unknown option."""
 
 
 class DataValidationError(PanelMetricsError, ValueError):

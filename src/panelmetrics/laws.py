@@ -2,30 +2,29 @@
 
 The central object is the panel precision law
 
-    P(q) = (rho * n**b + q * (1 - rho)) / (1 + (n**b - 1) * rho)
+    P(q) = q + (1 - q) * rho * n**b / (1 + (n**b - 1) * rho)
 
-for a panel of n scorers whose pairwise score correlation is rho, with
-an empirically fitted efficiency exponent b = q* + 0.8*(1 - rho). The
-module also carries the single-scorer approximations and the classical
-Spearman-Brown reliability step-up.
+for a panel of n scorers whose pairwise score correlation is rho.
+``panel_precision`` evaluates it at any exponent b; the fitted one,
+b = q* + 0.8*(1 - rho) with q clamped into [0.07, 0.22], comes from
+``efficiency_exponent``. At n = 1 the law is the linear single-scorer
+law rho + q*(1 - rho) whatever b is. The module also carries
+``p20_single``, the one refined single-scorer approximation, and the
+classical Spearman-Brown reliability step-up.
 
 Everything here is a pure function of its arguments.
 """
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "PanelQuery",
     "clip_quantile",
     "efficiency_exponent",
     "effective_rho",
     "panel_precision",
-    "single_precision_linear",
     "p20_single",
     "spearman_brown",
     "required_panel_size",
@@ -47,21 +46,6 @@ def _check_rho(rho: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [0, 1], got {rho}")
     return rho
-
-
-@dataclasses.dataclass(frozen=True)
-class PanelQuery:
-    """One evaluation point of the panel law: quantile, correlation, panel size."""
-
-    q: float
-    rho: float
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_q(self.q)
-        _check_rho(self.rho)
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
 
 
 def clip_quantile(q: float) -> float:
@@ -97,19 +81,18 @@ def effective_rho(n: int | np.ndarray, rho: float, b: float) -> float | np.ndarr
     return rho * nb / (1.0 + (nb - 1.0) * rho)
 
 
-def panel_precision(query: PanelQuery, clipped: bool = True) -> float:
-    """Top-q precision of an n-scorer panel under the fitted exponent law.
+def panel_precision(
+    q: float, rho: float, n: int | np.ndarray, b: float
+) -> float | np.ndarray:
+    """Top-q precision of an n-scorer panel under the law at exponent b.
 
-    Evaluated as q + (1 - q)*effective_rho, which equals the formula in
-    the module docstring but does not round past 1.0 (exactly 1.0 at q = 1).
+    Evaluated as q + (1 - q)*effective_rho, which does not round past 1.0
+    (exactly 1.0 at q = 1) the way the single fraction
+    (rho*n**b + q*(1 - rho)) / (1 + (n**b - 1)*rho) can. n is one size or
+    an array of sizes, as for ``effective_rho``.
     """
-    b = efficiency_exponent(query.q, query.rho, clipped=clipped)
-    return query.q + (1.0 - query.q) * effective_rho(query.n, query.rho, b)
-
-
-def single_precision_linear(q: float, rho: float) -> float:
-    """Single-scorer linear law rho + q*(1 - rho); the n=1 panel case."""
-    return _check_rho(rho) + _check_q(q) * (1.0 - rho)
+    q = _check_q(q)
+    return q + (1.0 - q) * effective_rho(n, rho, b)
 
 
 def p20_single(rho: float) -> float:
@@ -141,7 +124,8 @@ def required_panel_size(
         raise DomainError("target must lie strictly between 0 and 1")
     if n_max < 1:
         raise DomainError("the largest panel size must be at least 1")
+    b = efficiency_exponent(q, rho)
     for n in range(1, n_max + 1):
-        if panel_precision(PanelQuery(q=q, rho=rho, n=n)) >= target:
+        if panel_precision(q, rho, n, b) >= target:
             return n
     return None

@@ -133,7 +133,7 @@ def generalized_precision(
     return np.count_nonzero((stable_rank(v) <= k_h) & (stable_rank(x) <= k_q)) / k_h
 
 
-def log_q_grid(m: int, points: int = 50) -> np.ndarray:
+def log_q_grid(m: int, points: int) -> np.ndarray:
     """Geometric quantile grid from 1/m to 1 inclusive."""
     if m < 2:
         raise DomainError("m must be at least 2")

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .laws import effective_rho
+from .errors import DomainError
+from .laws import panel_precision
 from .precision import overlap_counts, stable_rank, top_count, top_hits
 from .streams import (
     DistributionSpec,
@@ -83,13 +83,13 @@ class UniverseConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_rho < 1.0:
-            raise ConfigError("target_rho must lie strictly between 0 and 1")
+            raise DomainError("target_rho must lie strictly between 0 and 1")
         if self.n_ais < 2:
-            raise ConfigError("need at least 2 scorers")
+            raise DomainError("need at least 2 scorers")
         if self.m_candidates < 2:
-            raise ConfigError("need at least 2 candidates")
+            raise DomainError("need at least 2 candidates")
         if not 0.0 <= self.boost < math.inf:
-            raise ConfigError("boost must be finite and non-negative")
+            raise DomainError("boost must be finite and non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -322,7 +322,7 @@ def fit_exponent_b(
         raise DomainError("fitting b needs a panel size above 1")
 
     def sse(b: float) -> float:
-        resid = p - (q + (1.0 - q) * effective_rho(k, rho, b))
+        resid = p - panel_precision(q, rho, k, b)
         return float(resid @ resid)
 
     lo, hi = _B_BOUNDS

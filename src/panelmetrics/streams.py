@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "SeededStream",
@@ -93,12 +93,12 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in DISTRIBUTION_KINDS:
-            raise ConfigError(
+            raise DomainError(
                 f"unknown distribution kind {self.kind!r}; "
                 f"expected one of {DISTRIBUTION_KINDS}"
             )
         if not self.t_dof > 2:
-            raise ConfigError("t_dof must exceed 2 (finite variance)")
+            raise DomainError("t_dof must exceed 2 (finite variance)")
 
 
 def sample_signal(dist: DistributionSpec, m: int, stream: SeededStream) -> np.ndarray:
@@ -116,7 +116,7 @@ def sample_signal(dist: DistributionSpec, m: int, stream: SeededStream) -> np.nd
     if dist.kind == "student_t":
         # handles non-integer dof via the normal / chi-square ratio
         return g.standard_t(dist.t_dof, m)
-    raise ConfigError(f"unknown distribution kind {dist.kind!r}")
+    raise DomainError(f"unknown distribution kind {dist.kind!r}")
 
 
 def add_calibrated_noise(

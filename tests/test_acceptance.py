@@ -18,7 +18,6 @@ from panelmetrics.empirics import (
     optimal_weights,
 )
 from panelmetrics.laws import (
-    PanelQuery,
     efficiency_exponent,
     p20_single,
     panel_precision,
@@ -60,9 +59,7 @@ def report(n, ok, detail):
 def test_criterion_1_formula_reproduction():
     t0 = time.perf_counter()
     b = efficiency_exponent(0.2, 0.55)
-    values = {
-        n: panel_precision(PanelQuery(q=0.2, rho=0.55, n=n)) for n in (1, 3, 5, 10, 25)
-    }
+    values = {n: panel_precision(0.2, 0.55, n, b) for n in (1, 3, 5, 10, 25)}
     per_call = (time.perf_counter() - t0) / 6
 
     targets = {1: (0.640, 5e-4), 3: (0.755, 0.005), 5: (0.801, 0.005),
@@ -270,11 +267,12 @@ def test_criterion_8_property_suite(equicorr_matrix):
 
     mono_ok = True
     for rho in (0.1, 0.3, 0.5, 0.7, 0.9):
-        vals = [panel_precision(PanelQuery(q=0.2, rho=rho, n=n)) for n in range(1, 31)]
+        b = efficiency_exponent(0.2, rho)
+        vals = [panel_precision(0.2, rho, n, b) for n in range(1, 31)]
         mono_ok = mono_ok and np.all(np.diff(vals) >= -1e-12)
     for n in (1, 3, 10, 30):
         vals = [
-            panel_precision(PanelQuery(q=0.2, rho=r, n=n))
+            panel_precision(0.2, r, n, efficiency_exponent(0.2, r))
             for r in np.linspace(0.0, 1.0, 21)
         ]
         mono_ok = mono_ok and np.all(np.diff(vals) >= -1e-12)

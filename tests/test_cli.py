@@ -1,21 +1,25 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panelmetrics import cli, simulate
 from panelmetrics.cli import main
 from panelmetrics.emit import fmt6
 from panelmetrics.empirics import ScoreTable, TaskScores, save_scores
 from panelmetrics.laws import (
-    PanelQuery,
     effective_rho,
     efficiency_exponent,
     panel_precision,
@@ -44,9 +48,7 @@ class TestFormula:
             assert cells[0] == str(n)
             assert cells[1] == fmt6(b)
             assert cells[2] == fmt6(effective_rho(n, 0.55, b))
-            assert cells[3] == fmt6(
-                panel_precision(PanelQuery(q=0.2, rho=0.55, n=n))
-            )
+            assert cells[3] == fmt6(panel_precision(0.2, 0.55, n, b))
 
     def test_unclipped_changes_exponent(self, capsys):
         main(["formula", "--q", "0.5", "--rho", "0.55", "--n", "1"])
@@ -83,7 +85,7 @@ class TestFormula:
         assert rc == 0
         header, rows = read_csv_rows(out / "formula.csv")
         assert header == ["n", "b", "rho_n", "precision"]
-        assert rows[0][3] == fmt6(panel_precision(PanelQuery(q=0.2, rho=0.55, n=3)))
+        assert rows[0][3] == fmt6(panel_precision(0.2, 0.55, 3, efficiency_exponent(0.2, 0.55)))
         doc = json.loads((out / "formula.json").read_text())
         assert doc["rows"][0]["n"] == 3
         run = json.loads((out / "run.json").read_text())
@@ -253,7 +255,7 @@ class TestPlan:
 
     def test_regime_warning_leaves_stdout_as_is(self, capsys):
         assert main(["plan", "--q", "0.01", "--rho", "0.95", "--target", "0.9"]) == 0
-        achieved = panel_precision(PanelQuery(q=0.01, rho=0.95, n=1))
+        achieved = panel_precision(0.01, 0.95, 1, efficiency_exponent(0.01, 0.95))
         assert capsys.readouterr().out == (
             f"panel of 1 reaches precision {fmt6(achieved)} (target 0.9) at q=0.01, rho=0.95\n"
         )
@@ -271,6 +273,55 @@ class TestPlan:
     def test_bad_value_exits_2_without_warning(self, capsys, argv, error):
         assert main(["plan", *argv, "--target", "0.9"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# edge values of a q, rho or target argument, drawn beside random floats
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, math.inf, -math.inf, math.nan, -1.0, -5e-324]
+)
+LAW_FLOATS = EDGE_FLOATS | st.floats(0.0, 1.0) | st.floats(-0.5, 1.5) | st.floats()
+
+
+def run_in_process(argv):
+    """Exit code, stdout, stderr and the parsed JSON files of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*argv, f"--out={tmp}"])
+        docs = {f.name: json.loads(f.read_text()) for f in Path(tmp).glob("*.json")}
+    return rc, out.getvalue(), err.getvalue(), docs
+
+
+def assert_clean_exit(rc, err, codes):
+    assert rc in codes
+    assert "Traceback" not in err
+    if rc == 2:
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+class TestLawCommandMatrix:
+    """formula and plan over edge and random arguments, run through main."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=LAW_FLOATS, rho=LAW_FLOATS, lo=st.integers(-2, 40), span=st.integers(0, 30))
+    def test_formula(self, q, rho, lo, span):
+        argv = ["formula", f"--q={q!r}", f"--rho={rho!r}", f"--n={lo}..{lo + span}"]
+        rc, _, err, docs = run_in_process(argv)
+        assert_clean_exit(rc, err, {0, 2})
+        if rc == 0:
+            for row in docs["formula.json"]["rows"]:
+                assert q <= row["precision"] <= 1.0
+                assert 0.0 <= row["rho_n"] <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=LAW_FLOATS, rho=LAW_FLOATS, target=LAW_FLOATS, n_max=st.integers(-2, 60))
+    def test_plan(self, q, rho, target, n_max):
+        argv = ["plan", f"--q={q!r}", f"--rho={rho!r}", f"--target={target!r}",
+                f"--n-max={n_max}"]
+        rc, _, err, docs = run_in_process(argv)
+        assert_clean_exit(rc, err, {0, 2, 3})
+        if rc == 0:
+            assert q <= docs["plan.json"]["achieved_precision"] <= 1.0
 
 
 class TestCurves:

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from panelmetrics import simulate
 from panelmetrics.errors import DomainError
 from panelmetrics.laws import (
-    PanelQuery,
     clip_quantile,
     effective_rho,
     efficiency_exponent,
     p20_single,
     panel_precision,
     required_panel_size,
-    single_precision_linear,
     spearman_brown,
 )
 
@@ -85,47 +84,81 @@ class TestEffectiveRho:
 
 class TestPanelPrecision:
     def test_discussion_series(self):
-        assert panel_precision(PanelQuery(0.2, 0.55, 1)) == pytest.approx(0.640)
-        assert panel_precision(PanelQuery(0.2, 0.55, 5)) == pytest.approx(0.80, abs=5e-3)
-        assert panel_precision(PanelQuery(0.2, 0.55, 25)) == pytest.approx(0.90, abs=1e-2)
+        b = efficiency_exponent(0.2, 0.55)
+        assert panel_precision(0.2, 0.55, 1, b) == pytest.approx(0.640)
+        assert panel_precision(0.2, 0.55, 5, b) == pytest.approx(0.80, abs=5e-3)
+        assert panel_precision(0.2, 0.55, 25, b) == pytest.approx(0.90, abs=1e-2)
 
     def test_n_one_is_linear_law(self):
         for q in (0.05, 0.2, 0.8):
             for rho in (0.0, 0.3, 0.97):
-                assert panel_precision(PanelQuery(q, rho, 1)) == pytest.approx(
-                    single_precision_linear(q, rho)
-                )
+                b = efficiency_exponent(q, rho)
+                assert panel_precision(q, rho, 1, b) == pytest.approx(rho + q * (1.0 - rho))
 
     def test_monotone_in_n_and_rho(self):
         for q in (0.05, 0.1, 0.2, 0.3):
             for rho in [i / 10 for i in range(11)]:
-                vals = [panel_precision(PanelQuery(q, rho, n)) for n in range(1, 31)]
+                b = efficiency_exponent(q, rho)
+                vals = [panel_precision(q, rho, n, b) for n in range(1, 31)]
                 assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             for n in (1, 3, 10, 30):
                 vals = [
-                    panel_precision(PanelQuery(q, i / 10, n)) for i in range(11)
+                    panel_precision(q, i / 10, n, efficiency_exponent(q, i / 10))
+                    for i in range(11)
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     @given(q=QS, rho=RHOS, n=st.integers(1, 100))
     @example(q=1.0, rho=0.2, n=26)
     def test_stays_a_fraction(self, q, rho, n):
-        assert 0.0 <= panel_precision(PanelQuery(q, rho, n)) <= 1.0
+        assert 0.0 <= panel_precision(q, rho, n, efficiency_exponent(q, rho)) <= 1.0
 
     def test_invalid_query_rejected(self):
         with pytest.raises(DomainError):
-            PanelQuery(0.2, 1.2, 3)
+            panel_precision(0.2, 1.2, 3, 0.5)
         with pytest.raises(DomainError):
-            PanelQuery(0.2, 0.5, 0)
+            panel_precision(0.2, 0.5, 0, 0.5)
         with pytest.raises(DomainError):
-            PanelQuery(0.0, 0.5, 3)
+            panel_precision(0.0, 0.5, 3, 0.5)
+
+    def test_array_of_sizes_matches_scalar_calls(self):
+        n = np.arange(1, 31)
+        for q, rho in ((0.05, 0.3), (0.2, 0.55), (0.5, 0.9), (1.0, 0.2)):
+            b = efficiency_exponent(q, rho)
+            vals = panel_precision(q, rho, n, b)
+            expected = np.array([panel_precision(q, rho, int(k), b) for k in n])
+            # numpy's pow and Python's may differ in the last bit of n**b
+            assert np.all(np.abs(vals - expected) <= 1e-15)
+
+    def test_fit_residual_is_the_law_bit_for_bit(self, monkeypatch):
+        # b_grid outputs stay byte-identical only while fit_exponent_b's
+        # residual is this expression in every bit
+        q, rho, b = 0.2, 0.55, 0.7
+        k = np.arange(1.0, 31.0)
+        p = np.linspace(0.6, 0.95, k.size)
+        inline = p - (q + (1.0 - q) * effective_rho(k, rho, b))
+        assert np.array_equal(p - panel_precision(q, rho, k, b), inline)
+
+        calls = []
+
+        def spy(*args):
+            calls.append((args, panel_precision(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(simulate, "panel_precision", spy)
+        simulate.fit_exponent_b(k.astype(int), p, rho, q)
+        assert calls
+        for (q_, rho_, k_, b_), law in calls:
+            assert (q_, rho_) == (q, rho) and k_.dtype == np.float64
+            assert np.array_equal(law, q + (1.0 - q) * effective_rho(k, rho, b_))
 
 
 class TestSingleScorerForms:
     def test_linear_edges(self):
-        assert single_precision_linear(1.0, 0.4) == pytest.approx(1.0)
-        assert single_precision_linear(0.33, 0.0) == pytest.approx(0.33)
-        assert single_precision_linear(0.2, 0.545) == pytest.approx(0.636)
+        # the law at n = 1 is the linear law rho + q*(1 - rho), whatever b is
+        assert panel_precision(1.0, 0.4, 1, 0.5) == pytest.approx(1.0)
+        assert panel_precision(0.33, 0.0, 1, 0.3) == pytest.approx(0.33)
+        assert panel_precision(0.2, 0.545, 1, 1.1) == pytest.approx(0.636)
 
     def test_p20_endpoints(self):
         assert p20_single(0.0) == pytest.approx(0.2)
@@ -176,8 +209,9 @@ class TestRequiredPanelSize:
     def test_result_is_minimal(self):
         n = required_panel_size(0.1, 0.4, 0.8, 50)
         assert n is not None
-        assert panel_precision(PanelQuery(0.1, 0.4, n)) >= 0.8
-        assert panel_precision(PanelQuery(0.1, 0.4, n - 1)) < 0.8
+        b = efficiency_exponent(0.1, 0.4)
+        assert panel_precision(0.1, 0.4, n, b) >= 0.8
+        assert panel_precision(0.1, 0.4, n - 1, b) < 0.8
 
     def test_bad_target_rejected(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from panelmetrics import simulate
-from panelmetrics.errors import ConfigError, DomainError
+from panelmetrics.errors import DomainError
 from panelmetrics.precision import log_q_grid, precision_curve, stable_rank, top_count
 from panelmetrics.simulate import (
     ScanPreset,
@@ -54,7 +54,7 @@ class TestUniverseConfig:
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             UniverseConfig(**{**PAPER, **kwargs})
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from panelmetrics.errors import ConfigError, DomainError
+from panelmetrics.errors import DomainError
 from panelmetrics.streams import (
     DistributionSpec,
     SeededStream,
@@ -50,11 +50,11 @@ class TestDistributionSpec:
             DistributionSpec(kind)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             DistributionSpec("cauchy")
 
     def test_infinite_variance_parameters_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             DistributionSpec("student_t", t_dof=1.5)
 
 
