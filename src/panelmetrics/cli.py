@@ -231,13 +231,13 @@ def _regime_warning(q: float, rho: float) -> str | None:
 
 def cmd_formula(args) -> int:
     clipped = not args.unclipped
-    # checks q and rho, so a bad value exits before the regime warning
     b = efficiency_exponent(args.q, args.rho, clipped=clipped)
-    warn = _regime_warning(args.q, args.rho)
     rows = [
         (n, b, effective_rho(n, args.rho, b), panel_precision(args.q, args.rho, n, b))
         for n in args.n
     ]
+    # every argument is checked by now, so a bad value exits without the warning
+    warn = _regime_warning(args.q, args.rho)
     header = ("n", "b", "rho_n", "precision")
     print(csv_text(header, rows), end="")
 

@@ -3,11 +3,11 @@
 ``simulate_distribution_curve`` averages one scorer's precision curve
 over trials of a signal distribution. The panel-scaling part builds
 synthetic universes of correlated scorers, measures how top-q precision
-grows with panel size, fits the efficiency exponent b per universe, and
-regresses b on the measured correlation over a (q, rho) grid. Every
-stochastic step takes an explicit stream, and grid cells own independent
-derived streams, so results never depend on execution order or thread
-count.
+against the mean of all scorers grows with panel size, fits the
+efficiency exponent b per universe, and regresses b on the measured
+correlation over a (q, rho) grid. Every stochastic step takes an
+explicit stream, and grid cells own independent derived streams, so
+results never depend on execution order or thread count.
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ from .streams import (
 
 __all__ = [
     "UniverseConfig",
-    "Universe",
-    "PanelScanResult",
     "BGridRow",
     "BRegressionRow",
     "ScanPreset",
@@ -93,23 +91,6 @@ class UniverseConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class Universe:
-    """Realized score matrix plus its derived ground truth."""
-
-    scores: np.ndarray  # m_candidates x n_ais
-    y_true: np.ndarray  # row means of scores
-    measured_rho: float
-
-
-@dataclasses.dataclass(frozen=True)
-class PanelScanResult:
-    """Average precision per scanned panel size and the b fitted to them."""
-
-    avg_precisions: np.ndarray
-    fitted_b: float
-
-
-@dataclasses.dataclass(frozen=True)
 class BGridRow:
     q: float
     target_rho: float
@@ -141,9 +122,9 @@ class ScanPreset:
         return tuple(range(1, min(self.max_size, self.n_ais) + 1))
 
 
-# desk keeps the paper's scorer count: y_true averages every column, and with
-# fewer columns the scanned panels (up to 30 scorers) overlap it enough to
-# bias the fitted b upward
+# desk keeps the paper's scorer count: the truth averages every column, and
+# with fewer columns the scanned panels (up to 30 scorers) overlap it enough
+# to bias the fitted b upward
 PRESETS = {
     "paper": ScanPreset(n_ais=100, m_candidates=2000, samples_per_size=4000, max_size=30),
     "desk": ScanPreset(n_ais=100, m_candidates=1000, samples_per_size=800, max_size=30),
@@ -176,11 +157,12 @@ def simulate_distribution_curve(
     return totals / trials
 
 
-def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> Universe:
-    """Draw one universe: per-scorer (r_i, s_i), then the score matrix.
+def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> np.ndarray:
+    """Draw one universe: per-scorer (r_i, s_i), then the m x n score matrix.
 
-    (r_i, s_i) come from a bivariate normal written in conditional form
-    (s_i regressed on the same shock as r_i). Column i is
+    The universe's ground truth is the mean of all n scorers. (r_i, s_i)
+    come from a bivariate normal written in conditional form (s_i
+    regressed on the same shock as r_i). Column i is
     sqrt(r_i) * Z_common + sqrt(1 - r_i) * Z_i, so two columns with
     shares r correlate at about r before the tail transform. A boost so
     large that the boosted columns' sd overflows raises DomainError.
@@ -202,51 +184,45 @@ def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> Universe:
     with np.errstate(over="ignore", invalid="ignore"):
         raw = superstar_transform(raw, cfg.boost)
     try:
-        scores = standardize(raw) * s[None, :] + _T_MEAN
+        return standardize(raw) * s[None, :] + _T_MEAN
     except DomainError:
         # normal columns always spread, so only the boost can take that away
         raise DomainError(f"boost {cfg.boost:g} overflows the tail transform") from None
 
-    y_true = scores.mean(axis=1)
-    return Universe(
-        scores=scores,
-        y_true=y_true,
-        measured_rho=correlation_summary(scores)[1],
-    )
-
 
 def panel_precision_scan(
-    u: Universe,
+    scores: np.ndarray,
     q: float,
     stream: SeededStream,
     sizes: Sequence[int],
     samples_per_size: int,
-) -> PanelScanResult:
-    """Average top-q precision of random k-scorer panels, for each k.
+) -> np.ndarray:
+    """Average top-q precision of random k-scorer panels, one per size k.
 
     For every panel size, draws random subsets of scorers without
     replacement, scores each candidate by the subset mean, and measures
-    precision against y_true. The subsets of one size come from one
-    bounded-integer draw that replays ``Generator.choice``'s stream
-    (``_panel_weights``), so where ``choice`` runs Floyd's algorithm they
-    are the subsets a ``choice`` call per sample would give.
-    The subset means are computed as one matrix product with a sparse
-    0/1-weight matrix; ``top_hits`` then counts each sample's top set in
-    blocks of ``_SCAN_BLOCK`` columns, narrow so that each block's strided
-    partition runs in cache, with the same lowest-index tie-break as the
-    precision module. The product is never split by samples: on some BLAS
-    builds a narrow column slice of the weights gives different last bits
-    than the same columns of the full product.
+    precision against the truth, the mean of all scorers. The subsets of
+    one size come from one bounded-integer draw that replays
+    ``Generator.choice``'s stream (``_panel_weights``), so where ``choice``
+    runs Floyd's algorithm they are the subsets a ``choice`` call per
+    sample would give. The subset means are computed as one matrix
+    product with a sparse 0/1-weight matrix; ``top_hits`` then counts each
+    sample's top set in blocks of ``_SCAN_BLOCK`` columns, narrow so that
+    each block's strided partition runs in cache, with the same
+    lowest-index tie-break as the precision module. The product is never
+    split by samples: on some BLAS builds a narrow column slice of the
+    weights gives different last bits than the same columns of the full
+    product.
     """
-    m, n_ais = u.scores.shape
+    m, n_ais = scores.shape
     sizes, ksel = _scan_plan(n_ais, m, q, sizes, samples_per_size)
-    true_mask = stable_rank(u.y_true) <= ksel
+    true_mask = stable_rank(scores.mean(axis=1)) <= ksel
 
     g = stream.generator()
     avg = np.empty(len(sizes))
     for i, k in enumerate(sizes):
         weights = _panel_weights(g, n_ais, k, samples_per_size)
-        estimates = u.scores @ weights
+        estimates = scores @ weights
         del weights
         hits = sum(
             top_hits(estimates[:, s : s + _SCAN_BLOCK], true_mask, ksel).sum()
@@ -254,8 +230,7 @@ def panel_precision_scan(
         )
         del estimates
         avg[i] = hits / (ksel * samples_per_size)
-
-    return PanelScanResult(avg, fit_exponent_b(sizes, avg, u.measured_rho, q))
+    return avg
 
 
 def _scan_plan(
@@ -269,7 +244,10 @@ def _scan_plan(
         raise DomainError("fitting b needs a panel size above 1")
     if samples_per_size < 1:
         raise DomainError("samples per panel size must be at least 1")
-    return sizes, top_count(q, m)
+    ksel = top_count(q, m)
+    if ksel == m:
+        raise DomainError(f"q {q:g} selects all {m} candidates, so b is not defined")
+    return sizes, ksel
 
 
 def _panel_weights(
@@ -309,8 +287,9 @@ def fit_exponent_b(
 
     Golden-section search on [0.01, 1.5]; the sum of squares is smooth
     and in practice unimodal there, and the bracket keeps the fit from
-    wandering when the data carry no panel gain at all. At n = 1 the law
-    does not depend on b, so some size must exceed 1.
+    wandering when the data carry no panel gain at all. At n = 1 or
+    q = 1 the law does not depend on b, so some size must exceed 1 and q
+    must lie below 1.
     """
     k = np.asarray(sizes, dtype=float)
     p = np.asarray(precisions, dtype=float)
@@ -320,6 +299,8 @@ def fit_exponent_b(
         raise DomainError("rho must lie strictly between 0 and 1")
     if not (k > 1).any():
         raise DomainError("fitting b needs a panel size above 1")
+    if q == 1.0:
+        raise DomainError("fitting b needs q below 1")
 
     def sse(b: float) -> float:
         resid = p - panel_precision(q, rho, k, b)
@@ -379,16 +360,12 @@ def b_grid_scan(
 
     def run(cell):
         q, cfg, cell_stream = cell
-        universe = generate_universe(cfg, cell_stream.derive(0))
-        fit = panel_precision_scan(
-            universe, q, cell_stream.derive(1), scan.sizes, scan.samples_per_size
+        scores = generate_universe(cfg, cell_stream.derive(0))
+        avg = panel_precision_scan(
+            scores, q, cell_stream.derive(1), scan.sizes, scan.samples_per_size
         )
-        return BGridRow(
-            q=q,
-            target_rho=cfg.target_rho,
-            measured_rho=universe.measured_rho,
-            best_b=fit.fitted_b,
-        )
+        rho = correlation_summary(scores)[1]
+        return BGridRow(q, cfg.target_rho, rho, fit_exponent_b(scan.sizes, avg, rho, q))
 
     if threads == 1:
         return [run(cell) for cell in cells]

@@ -13,7 +13,7 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from panelmetrics import cli, simulate
 from panelmetrics.cli import main
@@ -296,7 +296,8 @@ def assert_clean_exit(rc, err, codes):
     assert rc in codes
     assert "Traceback" not in err
     if rc == 2:
-        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 class TestLawCommandMatrix:
@@ -304,6 +305,7 @@ class TestLawCommandMatrix:
 
     @settings(max_examples=200, deadline=None)
     @given(q=LAW_FLOATS, rho=LAW_FLOATS, lo=st.integers(-2, 40), span=st.integers(0, 30))
+    @example(q=0.01, rho=0.5, lo=0, span=2)  # outside the regime and n = 0: no warning
     def test_formula(self, q, rho, lo, span):
         argv = ["formula", f"--q={q!r}", f"--rho={rho!r}", f"--n={lo}..{lo + span}"]
         rc, _, err, docs = run_in_process(argv)
@@ -487,6 +489,7 @@ class TestScaling:
             (["--boost", "nan"], "boost must be finite and non-negative"),
             (["--boost", "inf"], "boost must be finite and non-negative"),
             (["--max-size", "1", "--rho", "0.3,0.7"], "fitting b needs a panel size above 1"),
+            (["--q", "1"], "q 1 selects all 1000 candidates, so b is not defined"),
             (
                 ["--q", "0.2,0.2", "--rho", "0.4,0.6", "--samples", "20", "--max-size", "3"],
                 "q 0.2 appears more than once in the grid",
@@ -505,6 +508,7 @@ class TestScaling:
             "boost-nan",
             "boost-inf",
             "max-size-1",
+            "q-selects-all",
             "repeated-q",
             "repeated-rho",
         ],

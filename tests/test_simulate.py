@@ -10,7 +10,6 @@ from panelmetrics.errors import DomainError
 from panelmetrics.precision import log_q_grid, precision_curve, stable_rank, top_count
 from panelmetrics.simulate import (
     ScanPreset,
-    Universe,
     UniverseConfig,
     b_grid_scan,
     fit_exponent_b,
@@ -61,15 +60,13 @@ class TestUniverseConfig:
 class TestGenerateUniverse:
     def test_shapes_and_truth_consistency(self):
         cfg = UniverseConfig(target_rho=0.5, **SMALL)
-        u = generate_universe(cfg, SeededStream(1))
-        assert u.scores.shape == (400, 20)
-        assert np.max(np.abs(u.y_true - u.scores.mean(axis=1))) < 1e-12
-        assert -1.0 < u.measured_rho < 1.0
+        scores = generate_universe(cfg, SeededStream(1))
+        assert scores.shape == (400, 20)
+        assert -1.0 < correlation_summary(scores)[1] < 1.0
 
     def test_column_scales_respect_bounds(self):
         cfg = UniverseConfig(target_rho=0.5, **SMALL)
-        u = generate_universe(cfg, SeededStream(2))
-        sds = u.scores.std(axis=0)
+        sds = generate_universe(cfg, SeededStream(2)).std(axis=0)
         assert np.all(sds >= 0.2 - 1e-9)
         assert np.all(sds <= 1.2 + 1e-9)
 
@@ -77,23 +74,22 @@ class TestGenerateUniverse:
         # the scorers' signal shares spread by only 0.05 around the target,
         # so the factor model keeps the mean pairwise correlation near it
         cfg = UniverseConfig(target_rho=0.6, **PAPER)
-        u = generate_universe(cfg, SeededStream(3))
-        assert u.measured_rho == pytest.approx(0.6, abs=0.02)
+        scores = generate_universe(cfg, SeededStream(3))
+        assert correlation_summary(scores)[1] == pytest.approx(0.6, abs=0.02)
 
     def test_deterministic(self):
         cfg = UniverseConfig(target_rho=0.4, **SMALL)
         a = generate_universe(cfg, SeededStream(9))
         b = generate_universe(cfg, SeededStream(9))
-        assert np.array_equal(a.scores, b.scores)
-        assert a.measured_rho == b.measured_rho
+        assert a.tobytes() == b.tobytes()
 
     def test_boost_changes_scores_not_center(self):
         cfg = UniverseConfig(target_rho=0.5, **SMALL)
         boosted = dataclasses.replace(cfg, boost=1.0)
         a = generate_universe(cfg, SeededStream(4))
         b = generate_universe(boosted, SeededStream(4))
-        assert not np.array_equal(a.scores, b.scores)
-        assert b.scores.mean() == pytest.approx(7.0, abs=1e-9)
+        assert not np.array_equal(a, b)
+        assert b.mean() == pytest.approx(7.0, abs=1e-9)
 
     # 1e200 transforms to finite values whose squares overflow the sd
     @pytest.mark.filterwarnings("error")
@@ -151,20 +147,19 @@ def small_universe():
 
 class TestPanelPrecisionScan:
     def test_full_panel_is_exact(self, small_universe):
-        scan = panel_precision_scan(
+        avg = panel_precision_scan(
             small_universe, 0.2, SeededStream(21), sizes=[20], samples_per_size=10
         )
-        assert scan.avg_precisions[0] == 1.0
+        assert avg[0] == 1.0
 
     def test_roughly_monotone_in_size(self, small_universe):
-        scan = panel_precision_scan(
+        p = panel_precision_scan(
             small_universe,
             0.2,
             SeededStream(22),
             sizes=range(1, 16),
             samples_per_size=600,
         )
-        p = scan.avg_precisions
         assert np.all(np.diff(p) > -0.01)
         assert p[-1] > p[0]
 
@@ -175,8 +170,7 @@ class TestPanelPrecisionScan:
         b = panel_precision_scan(
             small_universe, 0.2, SeededStream(23), sizes=[2, 5], samples_per_size=50
         )
-        assert np.array_equal(a.avg_precisions, b.avg_precisions)
-        assert a.fitted_b == b.fitted_b
+        assert a.tobytes() == b.tobytes()
 
     def test_size_bounds_checked(self, small_universe):
         with pytest.raises(DomainError):
@@ -224,16 +218,16 @@ class TestPanelWeights:
         assert g.random() == g_ref.random()
 
 
-def argsort_scan(u, q, stream, sizes, samples):
+def argsort_scan(scores, q, stream, sizes, samples):
     """The scan as one stable argsort of the whole estimate matrix per size."""
-    m, n = u.scores.shape
+    m, n = scores.shape
     ksel = top_count(q, m)
-    true_mask = stable_rank(u.y_true) <= ksel
+    true_mask = stable_rank(scores.mean(axis=1)) <= ksel
     g = stream.generator()
     avg = []
     for k in sizes:
         weights = choice_weights(g, n, k, samples)
-        top = np.argsort(-(u.scores @ weights), axis=0, kind="stable")[:ksel]
+        top = np.argsort(-(scores @ weights), axis=0, kind="stable")[:ksel]
         avg.append(true_mask[top].sum() / (ksel * samples))
     return np.array(avg)
 
@@ -241,8 +235,7 @@ def argsort_scan(u, q, stream, sizes, samples):
 @pytest.fixture(scope="module")
 def rounded_universe(small_universe):
     """small_universe rounded to one decimal, so panel estimates tie heavily."""
-    scores = np.round(small_universe.scores, 1)
-    return Universe(scores, scores.mean(axis=1), small_universe.measured_rho)
+    return np.round(small_universe, 1)
 
 
 class TestScanMatchesArgsort:
@@ -258,11 +251,9 @@ class TestScanMatchesArgsort:
     )
     def test_bit_identical(self, rounded_universe, samples):
         sizes = [1, 2, 5, 19, 20]
-        scan = panel_precision_scan(
-            rounded_universe, 0.2, SeededStream(24), sizes, samples
-        )
+        avg = panel_precision_scan(rounded_universe, 0.2, SeededStream(24), sizes, samples)
         expected = argsort_scan(rounded_universe, 0.2, SeededStream(24), sizes, samples)
-        assert scan.avg_precisions.tobytes() == expected.tobytes()
+        assert avg.tobytes() == expected.tobytes()
 
 
 def test_scan_matches_argsort_at_benchmark_shape():
@@ -271,13 +262,12 @@ def test_scan_matches_argsort_at_benchmark_shape():
     Rounded scores tie heavily, so a last-bit change in the product moves
     some top sets."""
     paper = generate_universe(UniverseConfig(target_rho=0.5, **PAPER), SeededStream(25))
-    scores = np.round(paper.scores, 1)
-    u = Universe(scores, scores.mean(axis=1), paper.measured_rho)
+    scores = np.round(paper, 1)
     sizes = [1, 2, 5, 10, 30]
     samples = 3 * simulate._SCAN_BLOCK + 5
-    scan = panel_precision_scan(u, 0.2, SeededStream(26), sizes, samples)
-    expected = argsort_scan(u, 0.2, SeededStream(26), sizes, samples)
-    assert scan.avg_precisions.tobytes() == expected.tobytes()
+    avg = panel_precision_scan(scores, 0.2, SeededStream(26), sizes, samples)
+    expected = argsort_scan(scores, 0.2, SeededStream(26), sizes, samples)
+    assert avg.tobytes() == expected.tobytes()
 
 
 class TestFitExponentB:
@@ -310,6 +300,11 @@ class TestFitExponentB:
         p = [0.7] * len(sizes)
         with pytest.raises(DomainError, match="fitting b needs a panel size above 1"):
             fit_exponent_b(sizes, p, 0.5, 0.2)
+
+    def test_q_one_rejected(self):
+        # at q = 1 every panel's precision is 1 whatever b is
+        with pytest.raises(DomainError, match="fitting b needs q below 1"):
+            fit_exponent_b([1, 2, 3], [1.0, 1.0, 1.0], 0.5, q=1.0)
 
 
 class TestBGridScan:
@@ -348,9 +343,11 @@ class TestBGridScan:
             for i_r, rho in enumerate(rhos):
                 cell = root.derive(i_q * len(rhos) + i_r)
                 cfg = UniverseConfig(rho, n_ais=12, m_candidates=300, boost=0.5)
-                u = generate_universe(cfg, cell.derive(0))
-                fit = panel_precision_scan(u, q, cell.derive(1), range(1, 6), 70)
-                expected.append(BGridRow(q, rho, u.measured_rho, fit.fitted_b))
+                scores = generate_universe(cfg, cell.derive(0))
+                avg = panel_precision_scan(scores, q, cell.derive(1), range(1, 6), 70)
+                measured = correlation_summary(scores)[1]
+                best_b = fit_exponent_b(range(1, 6), avg, measured, q)
+                expected.append(BGridRow(q, rho, measured, best_b))
         assert rows == expected
 
 

@@ -11,18 +11,20 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 55 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 43 small runs of every
+There are 57 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 45 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
-law's regime as well as its domain), a ``plan`` outside the law's
+law's regime as well as its domain), a ``formula`` outside the law's
+regime with an ``--n`` of 0, a ``plan`` outside the law's
 regime, a ``plan --n-max`` of 0, an ``analyze --q-points`` of 1,
 ``curves`` at m = 10 on a 50-point grid (whose top-k sizes repeat), a
 ``--t-dof`` of inf and of 1e300, a ``curves --trials`` of 0, ``curves``
 at m = 100,000 with ``--t-dof`` 1e6,
 the superstar tail of ``scaling --boost``, a ``scaling`` run of 131
 samples per size (two 64-sample scan blocks and a tail), a ``scaling``
-run whose only panel size is 1, a ``scaling`` ``--max-size`` above the
+run whose only panel size is 1, a ``scaling --q`` of 1 (which selects
+every candidate), a ``scaling`` ``--max-size`` above the
 preset's scorer count, a ``scaling`` grid with a repeated ``--q``, a
 table whose scorers all give ranks, one with a scorer that always gives
 7.3, one of a single task with two scorers, one of a single task
@@ -72,6 +74,8 @@ CASES = [
                             "--out", OUT], ()),
     ("formula n x", ["formula", "--q", "0.2", "--rho", "0.5", "--n", "x"], ()),
     ("formula q -1", ["formula", "--q", "-1", "--rho", "0.5"], ()),
+    ("formula regime warning n 0", ["formula", "--q", "0.01", "--rho", "0.5",
+                                    "--n=0..2"], ()),
     ("plan reachable", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.75",
                         "--out", OUT], ()),
     ("plan exit 3", ["plan", "--q", "0.2", "--rho", "0.55", "--target", "0.99",
@@ -108,6 +112,8 @@ CASES = [
                        "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
     ("scaling max-size 1", ["scaling", "--rho", "0.3,0.7", "--max-size", "1",
                             "--out", OUT], ()),
+    ("scaling q 1", ["scaling", "--q", "1", "--rho", "0.4,0.7", "--samples", "5",
+                     "--max-size", "3", "--out", OUT], ()),
     ("scaling max-size above scorers", ["scaling", "--max-size", "150", "--samples", "5",
                                         "--out", OUT], ()),
     ("scaling repeated q", ["scaling", "--q", "0.2,0.2", "--rho", "0.4,0.6", "--samples",
