@@ -400,28 +400,30 @@ def cmd_scaling(args) -> int:
 def cmd_analyze(args) -> int:
     table = load_scores(args.input)
     report = build_report(table, q_points=args.q_points)
+    tasks, summary = report["tasks"], report["summary"]
+    modes = (report["variance_weighted"], report["variance_unweighted"])
 
-    for task in report.tasks:
+    for task in tasks:
         print(
-            f"task {task.name}: rho_bar={fmt6(task.rho_bar)} "
-            f"intercept={fmt6(task.intercept)} "
-            f"({task.intercept_vs_rho_pct:+.1f}% vs rho_bar)"
+            f"task {task['name']}: rho_bar={fmt6(task['rho_bar'])} "
+            f"intercept={fmt6(task['intercept'])} "
+            f"({task['intercept_vs_rho_pct']:+.1f}% vs rho_bar)"
         )
-        for row in task.sb_rows:
+        for row in task["sb_rows"]:
+            pct = "undefined" if row.pct_pred_vs_obs is None else f"{row.pct_pred_vs_obs:+.1f}%"
             print(
                 f"  panel of {row.size}: observed {fmt6(row.observed)} "
-                f"vs Spearman-Brown {fmt6(row.predicted)} "
-                f"({row.pct_pred_vs_obs:+.1f}%)"
+                f"vs Spearman-Brown {fmt6(row.predicted)} ({pct})"
             )
     print(
-        f"overall: mean={report.summary.mean:.2f} sd={report.summary.sd:.2f} "
-        f"range [{report.summary.min:.2f}, {report.summary.max:.2f}]"
+        f"overall: mean={summary['mean']:.2f} sd={summary['sd']:.2f} "
+        f"range [{summary['min']:.2f}, {summary['max']:.2f}]"
     )
-    for level, stats in report.summary.by_attr.items():
-        print(f"  {level}: mean={stats.mean:.2f} sd={stats.sd:.2f} (n={stats.count})")
-    for vq in (report.variance_weighted, report.variance_unweighted):
-        r, p = ("undefined",) * 2 if vq.r is None else (fmt6(vq.r), fmt6(vq.p_value))
-        print(f"variance-quality ({vq.truth_mode}): r={r} p={p}")
+    for level, stats in summary["by_attr"].items():
+        print(f"  {level}: mean={stats['mean']:.2f} sd={stats['sd']:.2f} (n={stats['count']})")
+    for vq in modes:
+        r, p = ("undefined",) * 2 if vq["r"] is None else (fmt6(vq["r"]), fmt6(vq["p_value"]))
+        print(f"variance-quality ({vq['truth_mode']}): r={r} p={p}")
 
     # The table rows are generators, consumed only when their file is
     # written, so no table is held in memory while report.json is built.
@@ -430,48 +432,46 @@ def cmd_analyze(args) -> int:
         "tasks.csv": (
             ("task", "rho_bar", "intercept", "intercept_vs_rho_pct"),
             (
-                (t.name, t.rho_bar, t.intercept, t.intercept_vs_rho_pct)
-                for t in report.tasks
+                (t["name"], t["rho_bar"], t["intercept"], t["intercept_vs_rho_pct"])
+                for t in tasks
             ),
         ),
         "subsets.csv": row_table(
             SubsetSizeRow,
-            ((t.name, r) for t in report.tasks for r in t.subset_rows),
+            ((t["name"], r) for t in tasks for r in t["subset_rows"]),
             lead="task",
         ),
         "spearman_brown.csv": row_table(
             SBComparisonRow,
-            ((t.name, r) for t in report.tasks for r in t.sb_rows),
+            ((t["name"], r) for t in tasks for r in t["sb_rows"]),
             lead="task",
         ),
         "curves.csv": (
-            ("task", "q", "p_avg", *(f"p_{ai}" for ai in report.ai_names)),
+            ("task", "q", "p_avg", *(f"p_{ai}" for ai in report["ai_names"])),
             (
-                (t.name, *row)
-                for t in report.tasks
-                for row in np.column_stack([t.q_grid, t.average_values, t.per_ai_values.T])
+                (t["name"], *row)
+                for t in tasks
+                for row in np.column_stack(
+                    [t["q_grid"], t["average_values"], t["per_ai_values"].T]
+                )
             ),
         ),
-        "qq.csv": (("theoretical", "sample"), report.qq_pairs),
+        "qq.csv": (("theoretical", "sample"), report["qq_pairs"]),
         "variance_quality.csv": row_table(
             VarianceQualityRow,
-            (
-                (vq.truth_mode, r)
-                for vq in (report.variance_weighted, report.variance_unweighted)
-                for r in vq.rows
-            ),
+            ((vq["truth_mode"], r) for vq in modes for r in vq["rows"]),
             lead="truth_mode",
         ),
     }
-    for t in report.tasks:
+    for t in tasks:
         series = [
-            PlotSeries(ai, t.q_grid, t.per_ai_values[j])
-            for j, ai in enumerate(report.ai_names)
+            PlotSeries(ai, t["q_grid"], t["per_ai_values"][j])
+            for j, ai in enumerate(report["ai_names"])
         ]
-        series.append(PlotSeries("average", t.q_grid, t.average_values))
-        files[f"curves_{t.name}.svg"] = dict(
+        series.append(PlotSeries("average", t["q_grid"], t["average_values"]))
+        files[f"curves_{t['name']}.svg"] = dict(
             series=series,
-            title=f"Precision curves: {t.name}",
+            title=f"Precision curves: {t['name']}",
             xlabel="q",
             ylabel="precision",
         )

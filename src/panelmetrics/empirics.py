@@ -8,7 +8,8 @@ for all scorers and one per sub-panel size, so the proxy is ranked once
 per call), summarize each curve by the intercept of a constrained linear
 fit, and compare panel gains with the Spearman-Brown prediction.
 Diagnostics (summary stats, QQ pairs, variance-vs-quality correlation)
-live here too.
+live here too. ``build_report`` returns the ``report.json`` document
+itself: dicts of the values, keyed as the file names them.
 """
 from __future__ import annotations
 
@@ -31,13 +32,9 @@ from .streams import correlation_summary, standardize
 __all__ = [
     "TaskScores",
     "ScoreTable",
-    "TaskReport",
     "SubsetSizeRow",
     "SBComparisonRow",
-    "SummaryStats",
     "VarianceQualityRow",
-    "VarianceQualityResult",
-    "EmpiricalReport",
     "load_scores",
     "save_scores",
     "optimal_weights",
@@ -280,7 +277,7 @@ class SubsetSizeRow:
     size: int
     n_subsets: int
     avg_intercept: float
-    improvement_pct: float | None  # vs the previous size in the scan
+    improvement_pct: float | None  # vs the previous size; None if none or it is 0
 
 
 def panel_subset_analysis(
@@ -291,7 +288,8 @@ def panel_subset_analysis(
     For each size, every subset of scorer columns is averaged into a
     panel score, the panels' precision curves against y are measured in
     one ``precision_curve`` call, and their constrained intercepts are
-    averaged over subsets.
+    averaged over subsets. ``improvement_pct`` is None for the first size
+    and after an average of 0, against which a percentage is undefined.
     """
     matrix = np.asarray(matrix, dtype=float)
     n_ai = matrix.shape[1]
@@ -309,7 +307,7 @@ def panel_subset_analysis(
             for values in precision_curve(panels, y, q_grid)
         ]
         avg = float(np.mean(intercepts))
-        pct = None if prev is None else (avg - prev) / prev * 100.0
+        pct = None if prev is None or prev == 0.0 else (avg - prev) / prev * 100.0
         rows.append(
             SubsetSizeRow(
                 size=k,
@@ -327,7 +325,7 @@ class SBComparisonRow:
     size: int
     observed: float
     predicted: float
-    pct_pred_vs_obs: float  # (predicted - observed) / observed
+    pct_pred_vs_obs: float | None  # (predicted - observed) / observed; None if it is 0
     pct_obs_vs_pred: float  # (observed - predicted) / predicted
 
 
@@ -337,7 +335,8 @@ def spearman_brown_comparison(
     """Spearman-Brown predictions against observed per-size intercepts.
 
     The source tables mix percentage conventions, so both directions are
-    carried explicitly.
+    carried explicitly. A percentage of an observed intercept of 0 is
+    undefined and None.
     """
     rows = []
     for size, obs in observed:
@@ -349,21 +348,11 @@ def spearman_brown_comparison(
                 size=size,
                 observed=obs,
                 predicted=pred,
-                pct_pred_vs_obs=(pred - obs) / obs * 100.0,
+                pct_pred_vs_obs=None if obs == 0.0 else (pred - obs) / obs * 100.0,
                 pct_obs_vs_pred=(obs - pred) / pred * 100.0,
             )
         )
     return rows
-
-
-@dataclasses.dataclass(frozen=True)
-class SummaryStats:
-    count: int
-    mean: float
-    sd: float
-    min: float
-    max: float
-    by_attr: dict[str, "SummaryStats"]
 
 
 def _stats_of(values: np.ndarray) -> dict:
@@ -376,11 +365,13 @@ def _stats_of(values: np.ndarray) -> dict:
     }
 
 
-def summary_stats(table: ScoreTable) -> SummaryStats:
+def summary_stats(table: ScoreTable) -> dict:
     """Pooled score statistics, overall and per attribute level.
 
-    The sd uses the population divisor. Rows with an empty attribute
-    stay out of the per-group breakdown.
+    Returns ``count, mean, sd, min, max, by_attr``; each level in
+    ``by_attr`` has the same keys and an empty ``by_attr``. The sd uses
+    the population divisor. Rows with an empty attribute stay out of the
+    per-group breakdown.
     """
     all_scores = np.concatenate([t.matrix.ravel() for t in table.tasks])
     groups: dict[str, list[np.ndarray]] = {}
@@ -389,10 +380,10 @@ def summary_stats(table: ScoreTable) -> SummaryStats:
             if attr:
                 groups.setdefault(attr, []).append(row)
     by_attr = {
-        level: SummaryStats(by_attr={}, **_stats_of(np.concatenate(rows)))
+        level: {**_stats_of(np.concatenate(rows)), "by_attr": {}}
         for level, rows in sorted(groups.items())
     }
-    return SummaryStats(by_attr=by_attr, **_stats_of(all_scores))
+    return {**_stats_of(all_scores), "by_attr": by_attr}
 
 
 def qq_data(scores: np.ndarray) -> np.ndarray:
@@ -419,17 +410,9 @@ class VarianceQualityRow:
     corr_with_truth: float
 
 
-@dataclasses.dataclass(frozen=True)
-class VarianceQualityResult:
-    truth_mode: str
-    rows: list[VarianceQualityRow]
-    r: float | None  # None when the variances or the correlations are all equal
-    p_value: float | None
-
-
 def variance_quality(
     table: ScoreTable, truths: Sequence[np.ndarray], truth_mode: str
-) -> VarianceQualityResult:
+) -> dict:
     """Does spreading scores out go with being right?
 
     Per (task, scorer): the column's score variance and its correlation
@@ -439,7 +422,8 @@ def variance_quality(
     Pearson r between variance and correlation, with a two-sided
     Student-t p-value on n - 2 degrees of freedom; both are None when
     there are fewer than 3 rows or either quantity is the same in every
-    row.
+    row, up to ``correlation_summary``'s rounding rule. Returns
+    ``truth_mode, rows, r, p_value``.
     """
     if truth_mode not in ("weighted", "unweighted"):
         raise DomainError(f"truth_mode must be weighted or unweighted, got {truth_mode!r}")
@@ -454,7 +438,7 @@ def variance_quality(
     n = len(rows)
     if n < 3:
         # two points always lie on a line: r is +-1 with no degrees of freedom
-        return VarianceQualityResult(truth_mode, rows, None, None)
+        return {"truth_mode": truth_mode, "rows": rows, "r": None, "p_value": None}
     var = np.array([row.variance for row in rows])
     cor = np.array([row.corr_with_truth for row in rows])
     try:
@@ -462,94 +446,77 @@ def variance_quality(
     except DomainError:
         # a constant column, as when every scorer ranks the candidates 1..m
         # and so has the same variance: the test is undefined
-        return VarianceQualityResult(truth_mode, rows, None, None)
+        return {"truth_mode": truth_mode, "rows": rows, "r": None, "p_value": None}
     if abs(r) >= 1.0:
         p = 0.0
     else:
         t = abs(r) * np.sqrt((n - 2) / (1.0 - r * r))
         p = student_t_sf_two_sided(t, n - 2)
-    return VarianceQualityResult(truth_mode=truth_mode, rows=rows, r=r, p_value=p)
+    return {"truth_mode": truth_mode, "rows": rows, "r": r, "p_value": p}
 
 
-@dataclasses.dataclass(frozen=True)
-class TaskReport:
-    name: str
-    rho_bar: float
-    correlation: np.ndarray
-    weights: np.ndarray
-    q_grid: np.ndarray
-    per_ai_values: np.ndarray  # n_ai x len(q_grid)
-    average_values: np.ndarray
-    intercept: float
-    intercept_vs_rho_pct: float  # (intercept - rho_bar) / rho_bar
-    subset_rows: list[SubsetSizeRow]
-    sb_rows: list[SBComparisonRow]
-
-
-@dataclasses.dataclass(frozen=True)
-class EmpiricalReport:
-    ai_names: tuple[str, ...]
-    tasks: list[TaskReport]
-    summary: SummaryStats
-    qq_pairs: np.ndarray
-    variance_weighted: VarianceQualityResult
-    variance_unweighted: VarianceQualityResult
-
-
-def build_report(table: ScoreTable, q_points: int) -> EmpiricalReport:
+def build_report(table: ScoreTable, q_points: int) -> dict:
     """Run the full analysis chain over every task in the table.
 
-    Curves are evaluated on a uniform quantile grid from 1/m to 1; the
-    constrained intercept is grid-weighted, and a uniform grid keeps it
-    comparable with the linear law it summarizes.
+    Returns the ``report.json`` document: ``ai_names, tasks, summary,
+    qq_pairs, variance_weighted, variance_unweighted``, with one dict per
+    task. Curves are evaluated on a uniform quantile grid from 1/m to 1;
+    the constrained intercept is grid-weighted, and a uniform grid keeps
+    it comparable with the linear law it summarizes. A DomainError raised
+    for one task names the task.
     """
     if q_points < 2:
         raise DomainError("the quantile grid needs at least 2 points")
-    task_reports: list[TaskReport] = []
+    task_reports = []
     proxies = []
     for task in table.tasks:
-        mat = task.matrix
-        m, n_ai = mat.shape
-        corr, rho_bar = correlation_summary(mat)
-        weights = optimal_weights(corr)
-        proxy = mat @ weights
-        proxies.append(proxy)
-        q_grid = np.linspace(1.0 / m, 1.0, q_points)
-        per_ai_values = precision_curve(mat, proxy, q_grid)
-        average_values = per_ai_values.mean(axis=0)
-        intercept = constrained_intercept_fit(q_grid, average_values)
+        try:
+            mat = task.matrix
+            m, n_ai = mat.shape
+            corr, rho_bar = correlation_summary(mat)
+            weights = optimal_weights(corr)
+            if not rho_bar > 0.0:
+                raise DomainError(f"mean scorer correlation rho_bar is {rho_bar:.3g}, not positive")
+            proxy = mat @ weights
+            proxies.append(proxy)
+            q_grid = np.linspace(1.0 / m, 1.0, q_points)
+            per_ai_values = precision_curve(mat, proxy, q_grid)
+            average_values = per_ai_values.mean(axis=0)
+            intercept = constrained_intercept_fit(q_grid, average_values)
 
-        sizes = [k for k in (2, 3, 4) if k <= n_ai]
-        subset_rows = panel_subset_analysis(mat, proxy, sizes, q_grid)
-        sb_rows = spearman_brown_comparison(
-            rho_bar, [(row.size, row.avg_intercept) for row in subset_rows]
-        )
-        task_reports.append(
-            TaskReport(
-                name=task.name,
-                rho_bar=rho_bar,
-                correlation=corr,
-                weights=weights,
-                q_grid=q_grid,
-                per_ai_values=per_ai_values,
-                average_values=average_values,
-                intercept=intercept,
-                intercept_vs_rho_pct=(intercept - rho_bar) / rho_bar * 100.0,
-                subset_rows=subset_rows,
-                sb_rows=sb_rows,
+            sizes = [k for k in (2, 3, 4) if k <= n_ai]
+            subset_rows = panel_subset_analysis(mat, proxy, sizes, q_grid)
+            sb_rows = spearman_brown_comparison(
+                rho_bar, [(row.size, row.avg_intercept) for row in subset_rows]
             )
+        except DomainError as exc:
+            raise DomainError(f"task {task.name!r}: {exc}") from None
+        task_reports.append(
+            {
+                "name": task.name,
+                "rho_bar": rho_bar,
+                "correlation": corr,
+                "weights": weights,
+                "q_grid": q_grid,
+                "per_ai_values": per_ai_values,
+                "average_values": average_values,
+                "intercept": intercept,
+                "intercept_vs_rho_pct": (intercept - rho_bar) / rho_bar * 100.0,
+                "subset_rows": subset_rows,
+                "sb_rows": sb_rows,
+            }
         )
 
     # before summary_stats, whose pooled sd would overflow with a warning
     # where qq_data's standardize rejects the pooled spread
     qq_pairs = qq_data(np.concatenate([t.matrix.ravel() for t in table.tasks]))
-    return EmpiricalReport(
-        ai_names=table.ai_names,
-        tasks=task_reports,
-        summary=summary_stats(table),
-        qq_pairs=qq_pairs,
-        variance_weighted=variance_quality(table, proxies, "weighted"),
-        variance_unweighted=variance_quality(
+    return {
+        "ai_names": table.ai_names,
+        "tasks": task_reports,
+        "summary": summary_stats(table),
+        "qq_pairs": qq_pairs,
+        "variance_weighted": variance_quality(table, proxies, "weighted"),
+        "variance_unweighted": variance_quality(
             table, [t.matrix.mean(axis=1) for t in table.tasks], "unweighted"
         ),
-    )
+    }

@@ -159,15 +159,19 @@ def superstar_transform(z: np.ndarray, boost: float) -> np.ndarray:
 def _column_sd(x: np.ndarray, constant: str) -> np.ndarray:
     """Each column's sd (population divisor), or DomainError if one has none.
 
-    A column is constant, and raises with the caller's ``constant`` text,
-    when its max equals its min (a repeated value whose computed sd is not
-    exactly 0) or its sd is 0 (a spread too small for its square to be
+    A finite column is constant, and raises with the caller's ``constant``
+    text, when ``max - min <= 8 * eps * max(|max|, |min|)`` (its values are
+    equal up to rounding: a repeated value's computed sd need not be 0, and
+    equal variances summed in different orders differ by up to 2 eps of
+    their size) or its sd is 0 (a spread too small for its square to be
     represented). A column whose sd is not finite raises too: its squared
     deviations overflow, or it holds inf or nan.
     """
     with np.errstate(all="ignore"):
         sd = x.std(axis=0)
-    if np.any((x.max(axis=0) == x.min(axis=0)) | (sd == 0.0)):
+        hi, lo = x.max(axis=0), x.min(axis=0)
+        constant_cols = hi - lo <= 8 * np.finfo(float).eps * np.maximum(abs(hi), abs(lo))
+    if np.any(constant_cols | (sd == 0.0)):
         raise DomainError(constant)
     if not np.isfinite(sd).all():
         raise DomainError(

@@ -295,7 +295,7 @@ def run_in_process(argv):
 def assert_clean_exit(rc, err, codes):
     assert rc in codes
     assert "Traceback" not in err
-    if rc == 2:
+    if rc in (2, 4):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
 
@@ -324,6 +324,127 @@ class TestLawCommandMatrix:
         assert_clean_exit(rc, err, {0, 2, 3})
         if rc == 0:
             assert q <= docs["plan.json"]["achieved_precision"] <= 1.0
+
+
+def score_csv(tasks):
+    """CSV text of a score table: one score matrix per task, rows candidates."""
+    n_ai = tasks[0].shape[1]
+    lines = ["task,candidate_id,attr" + "".join(f",s{i}" for i in range(n_ai))]
+    for t, mat in enumerate(tasks):
+        lines += [f"t{t},c{j},," + ",".join(map(repr, row)) for j, row in enumerate(mat.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+# b and c are exact multiples of a, a + 1 only to rounding: the three
+# correlations with the weighted proxy come out 1.0, 1.0 and 0.9999999999999999
+MULTIPLE_SCORERS = score_csv([np.column_stack([np.arange(6.0) * k + (k == 3) for k in (1, 2, 3)])])
+# four orders of one set of scores: the variances differ in the last bit only
+SHARED_SCORE_ORDERS = score_csv([np.array([5.3, 6.1, 6.8, 7.2, 7.9, 8.4, 9.0, 9.6])[np.array([
+    [0, 1, 2, 3, 4, 5, 6, 7], [5, 0, 6, 4, 7, 1, 2, 3],
+    [0, 3, 6, 1, 4, 5, 2, 7], [1, 0, 4, 2, 7, 5, 3, 6],
+])].T])
+# two uncorrelated scorers: rho_bar is exactly 0
+ZERO_CORRELATION = score_csv([np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])])
+# the pair's panel misses the top candidate and finds the top three: on the
+# grid 0.2, 0.6, 1 its intercept is exactly 0
+ZERO_PANEL_INTERCEPT = score_csv([np.array([[0.4, 0.3], [0.3, 0.3], [0.3, 0.3], [0.2, 0.2],
+                                            [0.3, 0.4]])])
+
+
+@st.composite
+def score_tables(draw):
+    """A small table whose scores are of one degenerate kind, as CSV text."""
+    m, n_ai = draw(st.integers(2, 10)), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(
+        ["tied", "one-decimal", "permuted", "negated", "subnormal", "constant"]
+    ))
+
+    def ints(lo, hi, shape):
+        return np.array(draw(st.lists(
+            st.integers(lo, hi), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))
+        )), dtype=float).reshape(shape)
+
+    def matrix():
+        if kind == "tied":
+            return ints(0, 2, (m, n_ai))
+        if kind == "permuted":
+            shared = ints(0, 99, (m,)) / 10
+            return np.column_stack([draw(st.permutations(shared.tolist())) for _ in range(n_ai)])
+        # a shared factor plus scorer noise, in tenths
+        mat = (ints(-30, 30, (m, 1)) + ints(-10, 10, (m, n_ai))) / 10
+        if kind == "negated":
+            mat[:, draw(st.integers(0, n_ai - 1))] *= -1
+        if kind == "subnormal":
+            mat *= 1e-320
+        if kind == "constant":
+            mat[:, draw(st.integers(0, n_ai - 1))] = 7.3
+        return mat
+
+    return score_csv([matrix() for _ in range(draw(st.integers(1, 2)))])
+
+
+def run_analyze(table, q_points):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "scores.csv"
+        src.write_text(table)
+        return run_in_process(["analyze", str(src), f"--q-points={q_points}"])
+
+
+class TestAnalyzeMatrix:
+    """analyze over small degenerate tables, run through main."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=score_tables(), q_points=st.integers(2, 5))
+    @example(table=ZERO_CORRELATION, q_points=2)
+    @example(table=ZERO_PANEL_INTERCEPT, q_points=3)
+    def test_analyze(self, table, q_points):
+        rc, _, err, docs = run_analyze(table, q_points)
+        assert_clean_exit(rc, err, {0, 2, 4})
+        if rc != 0:
+            return
+        assert err == ""
+        report = docs["report.json"]
+        for task in report["tasks"]:
+            assert 0.0 < task["rho_bar"] <= 1.0
+            assert all(-1.0 <= c <= 1.0 for row in task["correlation"] for c in row)
+            assert all(0.0 <= w <= 1.0 for w in task["weights"])
+            assert math.isclose(sum(task["weights"]), 1.0, rel_tol=1e-12)
+            precisions = [task["average_values"], *task["per_ai_values"]]
+            assert all(0.0 <= p <= 1.0 for curve in precisions for p in curve)
+            percentages = [task["intercept_vs_rho_pct"]]
+            percentages += [row["improvement_pct"] for row in task["subset_rows"][1:]]
+            for row in task["sb_rows"]:
+                percentages += [row["pct_pred_vs_obs"], row["pct_obs_vs_pred"]]
+            # a percentage of an intercept of 0 is undefined and null
+            assert all(pct is None or math.isfinite(pct) for pct in percentages)
+        for mode in ("variance_weighted", "variance_unweighted"):
+            vq = report[mode]
+            assert all(-1.0 <= row["corr_with_truth"] <= 1.0 for row in vq["rows"])
+            if vq["r"] is not None:
+                assert -1.0 <= vq["r"] <= 1.0 and 0.0 <= vq["p_value"] <= 1.0
+
+    def test_zero_mean_correlation_exits_2(self):
+        rc, _, err, _ = run_analyze(ZERO_CORRELATION, 5)
+        assert rc == 2
+        assert err == "error: task 't0': mean scorer correlation rho_bar is 0, not positive\n"
+
+    def test_negative_pair_keeps_its_message(self):
+        # the two scorers correlate -0.5: the weights fail before rho_bar is checked
+        rc, _, err, _ = run_analyze(score_csv([np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0]])]), 2)
+        assert rc == 2
+        assert err.startswith("error: task 't0': scorer column ") and err.count("\n") == 1
+        assert "correlates negatively" in err
+
+    @pytest.mark.parametrize(
+        "table", [MULTIPLE_SCORERS, SHARED_SCORE_ORDERS], ids=["multiples", "shared-scores"]
+    )
+    def test_variances_equal_to_rounding_leave_r_undefined(self, table):
+        rc, out, err, docs = run_analyze(table, 5)
+        assert (rc, err) == (0, "")
+        for mode in ("weighted", "unweighted"):
+            assert f"variance-quality ({mode}): r=undefined p=undefined" in out
+            vq = docs["report.json"][f"variance_{mode}"]
+            assert vq["r"] is None and vq["p_value"] is None
 
 
 class TestCurves:
@@ -677,7 +798,10 @@ class TestAnalyze:
             src,
         )
         assert main(["analyze", str(src)]) == 2
-        assert "error: scorer column 3 correlates negatively" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: task 'probe': scorer column 3 correlates negatively with the others: "
+            "its leading-eigenvector entry is -0.366, so the weights are not a mixture\n"
+        )
 
     def test_repeated_value_column_exits_2(self, capsys, tmp_path):
         # the column's computed mean is not exactly 7.3, so its computed sd is not 0
@@ -690,7 +814,9 @@ class TestAnalyze:
             tasks.append(dataclasses.replace(task, matrix=matrix))
         save_scores(dataclasses.replace(table, tasks=tuple(tasks)), src)
         assert main(["analyze", str(src)]) == 2
-        assert "error: constant column has undefined correlation" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: task 'alpha': constant column has undefined correlation\n"
+        )
 
     @staticmethod
     def _scaled_table(tmp_path, scale):
@@ -713,8 +839,8 @@ class TestAnalyze:
         src = self._scaled_table(tmp_path, 1e200)
         assert main(["analyze", str(src)]) == 2
         assert capsys.readouterr().err == (
-            "error: column sd is not finite: its squared deviations overflow, "
-            "or it holds inf or nan\n"
+            "error: task 'alpha': column sd is not finite: its squared deviations "
+            "overflow, or it holds inf or nan\n"
         )
 
     def test_empty_file_exits_4(self, tmp_path):
@@ -791,10 +917,12 @@ class TestAnalyze:
             + "".join(f"t,c{j},,{x!r},{-x!r}\n" for j, x in enumerate(a.tolist()))
         )
         assert main(["analyze", str(src), "--out", str(tmp_path / "report")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: scorer column") and err.count("\n") == 1
-        number = float(err.split("entry is ")[1].split(",")[0])
-        assert np.isfinite(number)
+        # which column the rounding of the eigenvector's zero sum names is not fixed
+        assert capsys.readouterr().err in {
+            f"error: task 't': scorer column {col} correlates negatively with the others: "
+            "its leading-eigenvector entry is -0.707, so the weights are not a mixture\n"
+            for col in (0, 1)
+        }
 
     def test_markup_in_task_name_gives_well_formed_svg(self, tmp_path):
         src = tmp_path / "scores.json"

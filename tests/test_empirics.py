@@ -306,6 +306,15 @@ class TestPanelSubsetAnalysis:
             constrained_intercept_fit(grid, average), abs=1e-12
         )
 
+    def test_change_from_a_zero_average_is_undefined(self):
+        # each scorer misses the top candidate and finds the top three, so on
+        # the grid 0.2, 0.6, 1 its intercept is exactly 0
+        y = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        mat = np.array([[4.0, 4.0], [5.0, 3.0], [3.0, 5.0], [1.0, 1.0], [2.0, 2.0]])
+        rows = panel_subset_analysis(mat, y, (1, 2), np.linspace(0.2, 1.0, 3))
+        assert rows[0].avg_intercept == 0.0
+        assert rows[1].improvement_pct is None
+
     def test_oversized_subset_rejected(self):
         mat = SeededStream(7).generator().normal(size=(20, 3))
         with pytest.raises(DomainError):
@@ -329,27 +338,32 @@ class TestSpearmanBrownComparison:
         rows = spearman_brown_comparison(0.5, [(2, 0.6)])
         assert rows[0].pct_pred_vs_obs * rows[0].pct_obs_vs_pred < 0
 
+    def test_zero_observed_leaves_its_percentage_undefined(self):
+        rows = spearman_brown_comparison(0.5, [(2, 0.0)])
+        assert rows[0].pct_pred_vs_obs is None
+        assert rows[0].pct_obs_vs_pred == pytest.approx(-100.0)
+
 
 class TestSummaryStats:
     def test_hand_computed(self):
         mat = np.array([[1.0, 3.0], [5.0, 7.0]])
         stats = summary_stats(make_table(mat))
-        assert stats.count == 4
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.sd == pytest.approx(np.sqrt(5.0))
-        assert (stats.min, stats.max) == (1.0, 7.0)
+        assert stats["count"] == 4
+        assert stats["mean"] == pytest.approx(4.0)
+        assert stats["sd"] == pytest.approx(np.sqrt(5.0))
+        assert (stats["min"], stats["max"]) == (1.0, 7.0)
 
     def test_constant_scores(self):
         stats = summary_stats(make_table(np.full((3, 2), 6.0)))
-        assert stats.mean == 6.0
-        assert stats.sd == 0.0
+        assert stats["mean"] == 6.0
+        assert stats["sd"] == 0.0
 
     def test_attribute_groups(self):
         mat = np.array([[2.0, 2.0], [4.0, 4.0], [9.0, 9.0]])
         stats = summary_stats(make_table(mat, attrs=("a", "b", "a")))
-        assert set(stats.by_attr) == {"a", "b"}
-        assert stats.by_attr["a"].mean == pytest.approx(5.5)
-        assert stats.by_attr["b"].count == 2
+        assert set(stats["by_attr"]) == {"a", "b"}
+        assert stats["by_attr"]["a"]["mean"] == pytest.approx(5.5)
+        assert stats["by_attr"]["b"]["count"] == 2
 
 
 class TestQQData:
@@ -411,21 +425,21 @@ class TestVarianceQuality:
 
     def test_row_layout(self):
         result = run_variance_quality(self._table(), "weighted")
-        assert len(result.rows) == 4
-        assert result.rows[0].task == "t1"
-        assert 0.0 <= result.p_value <= 1.0
+        assert len(result["rows"]) == 4
+        assert result["rows"][0].task == "t1"
+        assert 0.0 <= result["p_value"] <= 1.0
 
     def test_spreading_more_correlates_here(self):
         # columns built with variance proportional to signal share
         result = run_variance_quality(self._table(), "unweighted")
-        assert result.r > 0.5
+        assert result["r"] > 0.5
 
     def test_modes_differ(self):
         table = self._table()
         weighted = run_variance_quality(table, "weighted")
         unweighted = run_variance_quality(table, "unweighted")
-        assert weighted.truth_mode == "weighted"
-        assert weighted.r != unweighted.r
+        assert weighted["truth_mode"] == "weighted"
+        assert weighted["r"] != unweighted["r"]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
@@ -435,17 +449,17 @@ class TestVarianceQuality:
         # two points always lie on a line, leaving the test no degrees of freedom
         mat = SeededStream(71).generator().normal(size=(30, 2))
         result = run_variance_quality(make_table(mat), "unweighted")
-        assert result.r is None and result.p_value is None
-        assert len(result.rows) == 2
+        assert result["r"] is None and result["p_value"] is None
+        assert len(result["rows"]) == 2
 
     def test_rank_scored_table_gives_undefined_r(self, equicorr_matrix):
         ranks = np.argsort(np.argsort(equicorr_matrix(50, 4, 0.5, seed=72), axis=0), axis=0)
         table = make_table(ranks + 1.0)
         with np.errstate(all="raise"):
             result = run_variance_quality(table, "weighted")
-        assert result.r is None and result.p_value is None
-        assert len({row.variance for row in result.rows}) == 1
-        assert all(0.0 < row.corr_with_truth < 1.0 for row in result.rows)
+        assert result["r"] is None and result["p_value"] is None
+        assert len({row.variance for row in result["rows"]}) == 1
+        assert all(0.0 < row.corr_with_truth < 1.0 for row in result["rows"])
 
     def test_one_truth_per_task(self):
         table = self._table()
@@ -468,12 +482,12 @@ class TestBuildReport:
             ),
         )
         report = build_report(table, q_points=25)
-        task = report.tasks[0]
-        assert task.per_ai_values.shape == (5, 25)
-        assert task.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert [r.size for r in task.subset_rows] == [2, 3, 4]
-        assert report.qq_pairs.shape == (750, 2)
-        assert 0.0 <= report.variance_weighted.p_value <= 1.0
+        task = report["tasks"][0]
+        assert task["per_ai_values"].shape == (5, 25)
+        assert task["weights"].sum() == pytest.approx(1.0, abs=1e-9)
+        assert [r.size for r in task["subset_rows"]] == [2, 3, 4]
+        assert report["qq_pairs"].shape == (750, 2)
+        assert 0.0 <= report["variance_weighted"]["p_value"] <= 1.0
 
     def test_two_ai_table_limits_sizes(self):
         g = SeededStream(81).generator()
@@ -496,8 +510,8 @@ class TestBuildReport:
             ),
         )
         report = build_report(table, q_points=10)
-        assert [r.size for r in report.tasks[0].subset_rows] == [2]
-        assert [r.size for r in report.tasks[0].sb_rows] == [2]
+        assert [r.size for r in report["tasks"][0]["subset_rows"]] == [2]
+        assert [r.size for r in report["tasks"][0]["sb_rows"]] == [2]
 
     def test_one_correlation_pass(self, equicorr_matrix, monkeypatch):
         table = ScoreTable(
@@ -513,10 +527,10 @@ class TestBuildReport:
         report = build_report(table, q_points=10)
         # per task: the scorer matrix and one per truth mode; then one global r per mode
         assert len(calls) == 3 * (1 + 2) + 2
-        for task in report.tasks:
-            vec = np.linalg.eigh(task.correlation)[1][:, -1]
+        for task in report["tasks"]:
+            vec = np.linalg.eigh(task["correlation"])[1][:, -1]
             vec = -vec if vec.sum() < 0 else vec
-            assert np.array_equal(task.weights, vec / vec.sum())
+            assert np.array_equal(task["weights"], vec / vec.sum())
 
     def test_weights_computed_once_per_task(self, monkeypatch):
         g = SeededStream(82).generator()
@@ -537,6 +551,6 @@ class TestBuildReport:
         monkeypatch.setattr(empirics, "optimal_weights", counting)
         report = build_report(table, q_points=10)
         assert len(calls) == 2
-        assert report.variance_weighted.rows == run_variance_quality(
+        assert report["variance_weighted"]["rows"] == run_variance_quality(
             table, "weighted"
-        ).rows
+        )["rows"]

@@ -11,8 +11,8 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 57 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 45 small runs of every
+There are 60 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 48 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
 law's regime as well as its domain), a ``formula`` outside the law's
@@ -30,8 +30,10 @@ table whose scorers all give ranks, one with a scorer that always gives
 7.3, one of a single task with two scorers, one of a single task
 scaled by 1e200, whose squared spread overflows, one whose first
 scorer is named é1 and whose first task is named a,"b", which CSV must
-quote and JSON escape, one whose first two scorers share a name, and one
-of a single task whose two scorers are exactly opposite. A full
+quote and JSON escape, one whose first two scorers share a name, one
+of a single task whose two scorers are exactly opposite, one of two
+uncorrelated scorers (mean correlation exactly 0), and two whose scorer
+variances or correlations with the proxy are equal up to rounding. A full
 comparison takes a few minutes.
 """
 from __future__ import annotations
@@ -51,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from panelmetrics.empirics import ScoreTable, load_scores, save_scores  # noqa: E402
+from panelmetrics.empirics import ScoreTable, TaskScores, load_scores, save_scores  # noqa: E402
 
 OUT = "out"
 ALL = "csv,json,svg"
@@ -140,6 +142,11 @@ CASES = [
     ("analyze repeated scorer name", ["analyze", "twins.csv", "--out", OUT], ("twins.csv",)),
     ("analyze opposite scorers", ["analyze", "opposite.csv", "--out", OUT],
      ("opposite.csv",)),
+    ("analyze zero correlation", ["analyze", "zero.csv", "--out", OUT], ("zero.csv",)),
+    ("analyze multiple scorers", ["analyze", "multiples.csv", "--out", OUT, "--format", ALL],
+     ("multiples.csv",)),
+    ("analyze shared score set", ["analyze", "shared.csv", "--out", OUT, "--format", ALL],
+     ("shared.csv",)),
     ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
     ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
 ]
@@ -153,8 +160,8 @@ def write_inputs(inputs: Path) -> None:
     the third scorer always 7.3, as its first task's first two scorers
     as its first task times 1e200, with its first scorer named é1 and
     its first task named a,"b", with its second scorer named as its first,
-    and as its first task's first scorer beside its negation) and a bad
-    CSV."""
+    and as its first task's first scorer beside its negation), three small
+    tables at the edges of the correlation rules and a bad CSV."""
     for seed in range(3):
         (inputs / f"seed{seed}").mkdir(parents=True)
         workloads.write_inputs("analyze", seed, inputs / f"seed{seed}")
@@ -185,6 +192,20 @@ def write_inputs(inputs: Path) -> None:
     opposite = dataclasses.replace(first, matrix=np.column_stack([first.matrix[:, 0],
                                                                   -first.matrix[:, 0]]))
     save_scores(ScoreTable(ai_names=("a", "b"), tasks=(opposite,)), inputs / "opposite.csv")
+    small = {
+        # two uncorrelated scorers; a, 2a and 3a + 1; four orders of one score set
+        "zero": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        "multiples": [[i, 2.0 * i, 3.0 * i + 1] for i in range(6)],
+        "shared": np.array([5.3, 6.1, 6.8, 7.2, 7.9, 8.4, 9.0, 9.6])[np.array([
+            [0, 1, 2, 3, 4, 5, 6, 7], [5, 0, 6, 4, 7, 1, 2, 3],
+            [0, 3, 6, 1, 4, 5, 2, 7], [1, 0, 4, 2, 7, 5, 3, 6],
+        ])].T,
+    }
+    for name, rows in small.items():
+        mat = np.array(rows, dtype=float)
+        m, n_ai = mat.shape
+        task = TaskScores("t", tuple(f"c{j}" for j in range(m)), ("",) * m, mat)
+        save_scores(ScoreTable(tuple("abcd"[:n_ai]), (task,)), inputs / f"{name}.csv")
     (inputs / "bad.csv").write_text("task,candidate_id,attr,ai_1,ai_2\na,c0,,1.0,oops\n")
 
 
