@@ -40,6 +40,10 @@ _MAX_STEP = 0.125
 _TAIL_MASS = 1e-4
 # std_normal_cdf(z) rounds to exactly 1.0 from here on
 _PHI_ONE = 8.3
+# most grid points _winner_match takes: about 80 bytes and 3 us each, so
+# 80 MiB and 3 s at the limit. The step shrinks with the noise sd, so rho
+# near 1 needs the most (at m = 2000, t(4), rho up to about 1 - 2.4e-7 fits).
+_MAX_GRID_POINTS = 1 << 20
 # largest dof the Student-t anchor takes: up to here its change per half
 # decade of dof shrinks like 1/dof, to under 1e-5 at m <= 100,000. The
 # density is normalised by its grid mass, not by a gamma-function ratio
@@ -110,8 +114,17 @@ def student_t_anchor(m: int, rho: float, dof: float) -> float:
         raise DomainError(f"dof must exceed 2 and be at most {MAX_T_DOF:g}")
     if rho == 1.0:
         return 1.0
-    sigma = math.sqrt(dof / (dof - 2.0)) * math.sqrt(1.0 / rho**2 - 1.0)
+    # a rho whose square underflows to 0 calls for infinite noise
+    sigma = math.sqrt(dof / (dof - 2.0)) * math.sqrt(1.0 / rho**2 - 1.0) if rho**2 else math.inf
+    if not math.isfinite(sigma):
+        raise DomainError(f"rho {rho!r} is too small for the Student-t anchor: "
+                          "its noise sd overflows")
     step, half_width = _winner_grid(m, sigma, dof)
+    points = math.ceil(2.0 * half_width / step) + 1
+    if points > _MAX_GRID_POINTS:
+        raise DomainError(f"rho {rho!r} is too close to 1 for the Student-t anchor at "
+                          f"m={m}, dof={dof:g}: its grid would need {points:.3g} points, "
+                          f"more than {_MAX_GRID_POINTS:,}")
     return _winner_match(m, sigma, dof, step, half_width)
 
 

@@ -143,6 +143,10 @@ def simulate_distribution_curve(
 
     Per trial: draw the signal, add noise calibrated to correlation rho,
     and measure the noisy scores' precision curve against the signal.
+    Trial t draws its signal from ``stream.derive(0).derive(t)`` and its
+    noise from ``stream.derive(1).derive(t)``. ``children`` hands each
+    trial those two streams by re-keying one Philox per root instead of
+    building two generators per trial.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
@@ -150,9 +154,9 @@ def simulate_distribution_curve(
     noise_root = stream.derive(1)
     ks = top_count(q_grid, m)
     totals = np.zeros(q_grid.size)
-    for trial in range(trials):
-        nu = sample_signal(spec, m, signal_root.derive(trial))
-        x = add_calibrated_noise(nu, rho, noise_root.derive(trial))
+    for signal_g, noise_g in zip(signal_root.children(trials), noise_root.children(trials)):
+        nu = sample_signal(spec, m, signal_g)
+        x = add_calibrated_noise(nu, rho, noise_g)
         totals += overlap_counts(stable_rank(x), stable_rank(nu))[ks] / ks
     return totals / trials
 

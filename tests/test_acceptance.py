@@ -222,8 +222,8 @@ def test_criterion_7_single_scorer_simulation():
     signal_root, noise_root = root.derive(0), root.derive(1)
     total = 0.0
     for trial in range(trials):
-        nu = sample_signal(spec, m, signal_root.derive(trial))
-        x = add_calibrated_noise(nu, rho, noise_root.derive(trial))
+        nu = sample_signal(spec, m, signal_root.derive(trial).generator())
+        x = add_calibrated_noise(nu, rho, noise_root.derive(trial).generator())
         total += precision_at_q(x, nu, 0.2)
     simulated = total / trials
     target = p20_single(rho)

@@ -109,6 +109,20 @@ class TestStudentTAnchor:
         with pytest.raises(DomainError):
             student_t_anchor(100, 0.5, 1e300)
 
+    @pytest.mark.parametrize("rho", [5e-324, 1e-300, 1e-160])
+    def test_rho_whose_noise_sd_overflows_rejected(self, rho):
+        with pytest.raises(DomainError, match="too small for the Student-t anchor"):
+            student_t_anchor(40, rho, 4.0)
+
+    def test_tiny_rho_with_finite_noise_is_chance(self):
+        assert student_t_anchor(40, 1e-150, 4.0) == pytest.approx(1.0 / 40, abs=1e-5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rho_too_close_to_one_for_the_grid_rejected(self):
+        # the noise sd 1.5e-8 would need a grid of 4.9e10 points (390 GB)
+        with pytest.raises(DomainError, match=r"^rho 0\.9999999999999999 is too close to 1 "):
+            student_t_anchor(2000, 1.0 - 2.0**-53, 4.0)
+
     def test_largest_dof_is_near_its_normal_limit(self):
         """The last half decade of dof below MAX_T_DOF moves the anchor by
         under 1e-5 at m <= 100,000."""

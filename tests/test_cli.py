@@ -447,6 +447,52 @@ class TestAnalyzeMatrix:
             assert vq["r"] is None and vq["p_value"] is None
 
 
+# rho at and near 0 and 1: squares that underflow, noise too narrow for
+# the Student-t anchor's grid, and the last double below 1
+CURVES_RHOS = st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-160, 1e-154, 1e-9, 0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 2.0**-53,
+     1.0, math.nan]
+) | st.floats(0.0, 1.0)
+# --t-dof at the edges of (2, 1e6]: the first double above 2 gives t a
+# population sd of 6.7e7, on which the anchor calibrates its noise, and
+# t(1e6) is normal to the anchor's accuracy
+CURVES_DOFS = st.sampled_from(
+    [2.0, 2.0 + 2.0**-51, 2.0 + 1e-9, 2.5, 4.0, 1e6, 1e6 + 1.0, math.inf, math.nan]
+) | st.floats(2.0, 1e6)
+
+
+class TestCurvesMatrix:
+    """curves over small shapes and rho and --t-dof at their edges, run through main."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(10, 40), trials=st.integers(1, 3), points=st.integers(2, 6),
+           rho=CURVES_RHOS, dof=CURVES_DOFS)
+    @example(m=10, trials=1, points=2, rho=1e-300, dof=4.0)  # once a ZeroDivisionError
+    @example(m=10, trials=1, points=2, rho=1e-160, dof=4.0)  # once an OverflowError
+    @example(m=10, trials=1, points=2, rho=1.0 - 2.0**-53, dof=4.0)  # once a 97 GB grid
+    @example(m=10, trials=1, points=2, rho=1.0 - 2.0**-53, dof=2.0 + 2.0**-51)
+    def test_curves(self, m, trials, points, rho, dof):
+        argv = ["curves", f"--m={m}", f"--trials={trials}", f"--points={points}",
+                f"--rho={rho!r}", f"--t-dof={dof!r}", "--format=json"]
+        rc, _, err, docs = run_in_process(argv)
+        assert_clean_exit(rc, err, {0, 2})
+        if not (0.0 < rho < 1.0 and 2.0 < dof <= 1e6):
+            assert rc == 2
+        if rc != 0:
+            return
+        assert err == ""
+        doc = docs["curves.json"]
+        for curve in doc["curves"].values():
+            assert len(curve) == points
+            assert all(0.0 <= p <= 1.0 for p in curve)
+            # at q = 1 every candidate is selected
+            assert curve[-1] == 1.0
+        anchors = doc["anchors"]
+        assert anchors["q_anchor"] == 1.0 / m
+        for name in ("normal_limit", "t_limit", "heavy_tail_estimate", "p_avg_02"):
+            assert 0.0 <= anchors[name] <= 1.0
+
+
 class TestCurves:
     def run_small(self, out, fmt="csv,json,svg"):
         return main(
@@ -841,6 +887,17 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             "error: task 'alpha': column sd is not finite: its squared deviations "
             "overflow, or it holds inf or nan\n"
+        )
+
+    def test_scores_whose_squares_underflow_exit_2(self, capsys, tmp_path):
+        # no column is constant, but the squared deviations underflow to 0;
+        # the same table times 1e300 runs
+        src = tmp_path / "tiny.csv"
+        src.write_text(score_csv([np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [4.0, 3.0]])
+                                  * 1e-300]))
+        assert main(["analyze", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            "error: task 't0': scores too small in scale for their spread to be represented\n"
         )
 
     def test_empty_file_exits_4(self, tmp_path):

@@ -129,7 +129,7 @@ class TestMeanOffdiagCorrelation:
         "column, message",
         [
             (np.full(600, 7.3), "constant column"),
-            (np.array([0.0, 1e-300] * 300), "constant column"),
+            (np.array([0.0, 1e-300] * 300), "scores too small in scale"),
             (np.array([0.0, 1e200] * 300), "column sd is not finite"),
         ],
         ids=["repeated-value", "underflowing-spread", "overflowing-spread"],
@@ -398,8 +398,8 @@ class TestSimulateDistributionCurve:
         stream = SeededStream(11).derive(3)
         totals = np.zeros(grid.size)
         for trial in range(trials):
-            nu = sample_signal(spec, m, stream.derive(0).derive(trial))
-            x = add_calibrated_noise(nu, rho, stream.derive(1).derive(trial))
+            nu = sample_signal(spec, m, stream.derive(0).derive(trial).generator())
+            x = add_calibrated_noise(nu, rho, stream.derive(1).derive(trial).generator())
             totals += precision_curve(x, nu, grid)
         got = simulate_distribution_curve(spec, m, rho, trials, grid, stream)
         assert got.tobytes() == (totals / trials).tobytes()

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,75 @@ class TestSeededStream:
         with pytest.raises(DomainError):
             SeededStream(0).derive(-1)
 
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (5, 2**64 - 1), (2**64 - 3, 2**63 + 7)])
+    def test_key_is_seed_low_and_stream_id_high(self, seed, stream_id):
+        # both words exact, also above 2**53 where a float would round them
+        key = seed | stream_id << 64
+        expected = np.random.Generator(np.random.Philox(key=key)).integers(0, 2**64, 4, np.uint64)
+        got = SeededStream(seed, stream_id).generator().integers(0, 2**64, 4, np.uint64)
+        assert got.tobytes() == expected.tobytes()
+
+
+# one draw per child from each sampler; 32-bit integers use the cached
+# half of a 64-bit output (has_uint32 / uinteger), which a child must reset
+CHILD_DRAWS = {
+    "standard_normal": lambda g: g.standard_normal(3),
+    "lognormal": lambda g: g.lognormal(0.0, 1.0, 3),
+    "pareto": lambda g: g.pareto(3.0, 3),
+    "standard_t": lambda g: g.standard_t(2.5, 3),
+    "uint32": lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+}
+
+
+class TestChildren:
+    @pytest.mark.parametrize("draw", CHILD_DRAWS.values(), ids=CHILD_DRAWS.keys())
+    def test_each_child_is_its_derived_stream(self, draw):
+        root = SeededStream(2**64 - 3, 11).derive(5)
+        count = 2000
+        got = [draw(g) for g in root.children(count)]
+        assert len(got) == count
+        for child, draws in enumerate(got):
+            assert draws.tobytes() == draw(root.derive(child).generator()).tobytes()
+
+    def test_half_used_child_does_not_leak(self):
+        # an odd count of 32-bit draws leaves half a 64-bit output cached and
+        # part of Philox's 4-word buffer unread; the next child starts past both
+        root = SeededStream(8)
+        children = root.children(3)
+        next(children).integers(0, 2**32, 1, dtype=np.uint32)
+        second = next(children)
+        assert second.integers(0, 2**32, 5, dtype=np.uint32).tobytes() == (
+            root.derive(1).generator().integers(0, 2**32, 5, dtype=np.uint32).tobytes()
+        )
+        third = next(children)
+        assert third.standard_normal(4).tobytes() == (
+            root.derive(2).generator().standard_normal(4).tobytes()
+        )
+
+    def test_zero_children(self):
+        assert list(SeededStream(0).children(0)) == []
+
+
+def philox_constructions(path):
+    """Lines of ``path`` that call ``Philox``, as ``np.random.Philox`` or bare."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Philox"
+    ]
+
+
+def test_philox_is_built_only_in_streams():
+    """Only ``streams`` builds a Philox, so its key layout has one home."""
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src").rglob("*.py")) + sorted((root / "tools").rglob("*.py"))
+    found = {
+        str(path.relative_to(root)): lines
+        for path in sources if (lines := philox_constructions(path))
+    }
+    assert set(found) == {"src/panelmetrics/streams.py"}, found
+
 
 class TestDistributionSpec:
     def test_kinds_accepted(self):
@@ -62,59 +134,67 @@ class TestSampleSignal:
     def test_deterministic(self):
         spec = DistributionSpec("lognormal")
         s = SeededStream(9, 2)
-        assert np.array_equal(sample_signal(spec, 64, s), sample_signal(spec, 64, s))
+        assert np.array_equal(sample_signal(spec, 64, s.generator()),
+                              sample_signal(spec, 64, s.generator()))
 
     def test_pareto_support_starts_at_one(self):
-        draws = sample_signal(DistributionSpec("pareto"), 20000, SeededStream(1))
+        draws = sample_signal(DistributionSpec("pareto"), 20000, SeededStream(1).generator())
         assert draws.min() >= 1.0
 
     def test_pareto_mean_matches_classical_form(self):
         # shape 3 classical Pareto has mean shape/(shape-1) = 1.5
-        draws = sample_signal(DistributionSpec("pareto"), 200000, SeededStream(2))
+        draws = sample_signal(DistributionSpec("pareto"), 200000, SeededStream(2).generator())
         assert draws.mean() == pytest.approx(1.5, abs=0.02)
 
     def test_lognormal_median(self):
-        draws = sample_signal(DistributionSpec("lognormal"), 100000, SeededStream(3))
+        draws = sample_signal(DistributionSpec("lognormal"), 100000, SeededStream(3).generator())
         assert np.median(draws) == pytest.approx(1.0, abs=0.02)
 
     def test_student_t_fractional_dof(self):
         draws = sample_signal(
-            DistributionSpec("student_t", t_dof=2.5), 1000, SeededStream(4)
+            DistributionSpec("student_t", t_dof=2.5), 1000, SeededStream(4).generator()
         )
         assert draws.shape == (1000,)
         assert np.isfinite(draws).all()
 
     def test_needs_two_draws(self):
         with pytest.raises(DomainError):
-            sample_signal(DistributionSpec("normal"), 1, SeededStream(0))
+            sample_signal(DistributionSpec("normal"), 1, SeededStream(0).generator())
 
 
 class TestAddCalibratedNoise:
     def test_achieves_target_correlation(self):
-        nu = sample_signal(DistributionSpec("normal"), 100000, SeededStream(11))
+        nu = sample_signal(DistributionSpec("normal"), 100000, SeededStream(11).generator())
         for rho in (0.3, 0.7, 0.95):
-            x = add_calibrated_noise(nu, rho, SeededStream(12))
+            x = add_calibrated_noise(nu, rho, SeededStream(12).generator())
             assert np.corrcoef(nu, x)[0, 1] == pytest.approx(rho, abs=0.01)
 
     def test_calibration_is_scale_free(self):
-        nu = sample_signal(DistributionSpec("lognormal"), 50000, SeededStream(13))
-        x_base = add_calibrated_noise(nu, 0.6, SeededStream(14))
-        x_scaled = add_calibrated_noise(nu * 37.0, 0.6, SeededStream(14))
+        nu = sample_signal(DistributionSpec("lognormal"), 50000, SeededStream(13).generator())
+        x_base = add_calibrated_noise(nu, 0.6, SeededStream(14).generator())
+        x_scaled = add_calibrated_noise(nu * 37.0, 0.6, SeededStream(14).generator())
         assert np.allclose(x_scaled, x_base * 37.0)
 
     def test_high_rho_limit_shrinks_noise(self):
-        nu = sample_signal(DistributionSpec("normal"), 1000, SeededStream(15))
-        x = add_calibrated_noise(nu, 0.999999, SeededStream(16))
+        nu = sample_signal(DistributionSpec("normal"), 1000, SeededStream(15).generator())
+        x = add_calibrated_noise(nu, 0.999999, SeededStream(16).generator())
         assert np.max(np.abs(x - nu)) < 0.05
 
     def test_domain(self):
         nu = np.array([1.0, 2.0, 3.0])
         with pytest.raises(DomainError):
-            add_calibrated_noise(nu, 0.0, SeededStream(0))
+            add_calibrated_noise(nu, 0.0, SeededStream(0).generator())
         with pytest.raises(DomainError):
-            add_calibrated_noise(nu, 1.0, SeededStream(0))
+            add_calibrated_noise(nu, 1.0, SeededStream(0).generator())
         with pytest.raises(DomainError):
-            add_calibrated_noise(np.ones(10), 0.5, SeededStream(0))
+            add_calibrated_noise(np.ones(10), 0.5, SeededStream(0).generator())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho", [5e-324, 1e-300, 1e-160])
+    def test_rho_whose_noise_sd_overflows_rejected(self, rho):
+        nu = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="too small to calibrate noise"):
+            add_calibrated_noise(nu, rho, SeededStream(0).generator())
 
 
 class TestSuperstarTransform:

@@ -11,7 +11,7 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 60 cases: the four benchmark workloads
+There are 61 cases: the four benchmark workloads
 (``perfbench/workloads.py``) at seeds 0-2, then 48 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
@@ -32,8 +32,9 @@ scaled by 1e200, whose squared spread overflows, one whose first
 scorer is named é1 and whose first task is named a,"b", which CSV must
 quote and JSON escape, one whose first two scorers share a name, one
 of a single task whose two scorers are exactly opposite, one of two
-uncorrelated scorers (mean correlation exactly 0), and two whose scorer
-variances or correlations with the proxy are equal up to rounding. A full
+uncorrelated scorers (mean correlation exactly 0), two whose scorer
+variances or correlations with the proxy are equal up to rounding, and
+one of scores near 1e-300, whose squared spread underflows. A full
 comparison takes a few minutes.
 """
 from __future__ import annotations
@@ -147,6 +148,7 @@ CASES = [
      ("multiples.csv",)),
     ("analyze shared score set", ["analyze", "shared.csv", "--out", OUT, "--format", ALL],
      ("shared.csv",)),
+    ("analyze tiny scores", ["analyze", "tiny.csv", "--out", OUT], ("tiny.csv",)),
     ("analyze missing file", ["analyze", "absent.csv", "--out", OUT], ()),
     ("analyze malformed row", ["analyze", "bad.csv", "--out", OUT], ("bad.csv",)),
 ]
@@ -160,7 +162,7 @@ def write_inputs(inputs: Path) -> None:
     the third scorer always 7.3, as its first task's first two scorers
     as its first task times 1e200, with its first scorer named é1 and
     its first task named a,"b", with its second scorer named as its first,
-    and as its first task's first scorer beside its negation), three small
+    and as its first task's first scorer beside its negation), four small
     tables at the edges of the correlation rules and a bad CSV."""
     for seed in range(3):
         (inputs / f"seed{seed}").mkdir(parents=True)
@@ -193,13 +195,15 @@ def write_inputs(inputs: Path) -> None:
                                                                   -first.matrix[:, 0]]))
     save_scores(ScoreTable(ai_names=("a", "b"), tasks=(opposite,)), inputs / "opposite.csv")
     small = {
-        # two uncorrelated scorers; a, 2a and 3a + 1; four orders of one score set
+        # two uncorrelated scorers; a, 2a and 3a + 1; four orders of one score
+        # set; two scorers whose squared spread underflows
         "zero": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
         "multiples": [[i, 2.0 * i, 3.0 * i + 1] for i in range(6)],
         "shared": np.array([5.3, 6.1, 6.8, 7.2, 7.9, 8.4, 9.0, 9.6])[np.array([
             [0, 1, 2, 3, 4, 5, 6, 7], [5, 0, 6, 4, 7, 1, 2, 3],
             [0, 3, 6, 1, 4, 5, 2, 7], [1, 0, 4, 2, 7, 5, 3, 6],
         ])].T,
+        "tiny": [[1e-300, 2e-300], [2e-300, 1e-300], [3e-300, 4e-300], [4e-300, 3e-300]],
     }
     for name, rows in small.items():
         mat = np.array(rows, dtype=float)
