@@ -27,6 +27,7 @@ __all__ = [
     "AnchorSet",
     "normal_limit_anchor",
     "student_t_anchor",
+    "student_t_grid",
     "heavy_tail_anchor",
     "reference_line",
     "compute_anchors",
@@ -106,6 +107,16 @@ def student_t_anchor(m: int, rho: float, dof: float) -> float:
     a threshold-exceedance expectation; the two differ noticeably at
     small m. It makes no random draws.
     """
+    sigma, step, half_width = student_t_grid(m, rho, dof)
+    return 1.0 if rho == 1.0 else _winner_match(m, sigma, dof, step, half_width)
+
+
+def student_t_grid(m: int, rho: float, dof: float) -> tuple[float, float, float]:
+    """Noise sd sigma, grid step and half-width L of ``student_t_anchor``.
+
+    Raises ``DomainError`` for every setting the anchor rejects, without
+    integrating. At rho = 1 the anchor needs no grid and sigma is 0.
+    """
     if m < 2:
         raise DomainError("m must be at least 2")
     if not 0.0 < rho <= 1.0:
@@ -113,7 +124,7 @@ def student_t_anchor(m: int, rho: float, dof: float) -> float:
     if not 2.0 < dof <= MAX_T_DOF:
         raise DomainError(f"dof must exceed 2 and be at most {MAX_T_DOF:g}")
     if rho == 1.0:
-        return 1.0
+        return 0.0, 0.0, 0.0
     # a rho whose square underflows to 0 calls for infinite noise
     sigma = math.sqrt(dof / (dof - 2.0)) * math.sqrt(1.0 / rho**2 - 1.0) if rho**2 else math.inf
     if not math.isfinite(sigma):
@@ -125,7 +136,7 @@ def student_t_anchor(m: int, rho: float, dof: float) -> float:
         raise DomainError(f"rho {rho!r} is too close to 1 for the Student-t anchor at "
                           f"m={m}, dof={dof:g}: its grid would need {points:.3g} points, "
                           f"more than {_MAX_GRID_POINTS:,}")
-    return _winner_match(m, sigma, dof, step, half_width)
+    return sigma, step, half_width
 
 
 def _winner_grid(m: int, sigma: float, dof: float) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .anchors import MAX_T_DOF, AnchorSet, compute_anchors, reference_line
+from .anchors import MAX_T_DOF, AnchorSet, compute_anchors, reference_line, student_t_grid
 from .emit import (
     PlotSeries,
     csv_text,
@@ -293,6 +293,8 @@ def cmd_curves(args) -> int:
                           f"{MAX_T_DOF:g}; t with more dof is normal to the anchor's accuracy")
 
     grid = log_q_grid(args.m, args.points)
+    # the Student-t anchor needs no curve, so a rho it cannot take fails before any trial
+    student_t_grid(args.m, args.rho, args.t_dof)
     root = SeededStream(args.seed)
     curves = {}
     for index, kind in enumerate(DISTRIBUTION_KINDS):

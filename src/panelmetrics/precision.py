@@ -11,9 +11,10 @@ Every top-k set is decided by ``stable_rank``, the only code that breaks
 ties: it argsorts a vector once and puts tied runs back in index order,
 and the top-k slice is the set of ranks <= k. ``overlap_counts`` turns
 two rankings into the overlap size for every k at once. ``top_hits``
-counts the same top-k sets for every column of a matrix, partitioning
-each column at its k-th largest value and ranking only a column whose
-tie straddles that cut; it rejects NaN.
+counts the same top-k sets for every column of a matrix: it selects on a
+sample-major copy, one contiguous row per column, partitioning each at
+its k-th largest value and ranking only a column whose tie straddles
+that cut; it rejects NaN.
 """
 from __future__ import annotations
 
@@ -88,11 +89,13 @@ def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     """How many ``truth`` rows each column's top-k rows hold, for an m x B block.
 
     A column's top-k rows are those with ``stable_rank(column) <= k``, so
-    ties are ``stable_rank``'s. ``np.partition`` finds each column's k-th
-    largest value t, and every row at or above t is in the set unless a
-    tie with t is left below the partition point; only such a column is
-    ranked. A column holding NaN raises ``DomainError``: the partition
-    sorts NaN last, so any NaN lands in the rows from m - k on.
+    ties are ``stable_rank``'s. A compact copy of the block is transposed
+    into a B x m sample-major buffer, and partitioning its contiguous rows
+    in place finds each column's k-th largest value t. Every row at or
+    above t is in the set unless a tie with t is left below the partition
+    point; only such a column is ranked. A column holding NaN raises
+    ``DomainError``: the partition sorts NaN last, so any NaN lands in
+    the entries from m - k on.
     """
     est = np.asarray(estimates, dtype=float)
     truth = np.asarray(truth, dtype=bool)
@@ -101,14 +104,16 @@ def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
         raise DomainError("need an m x B matrix and a length-m truth mask")
     if not 1 <= k <= m:
         raise DomainError(f"k must lie in 1..{m}")
-    part = np.partition(est, m - k, axis=0)
-    if np.isnan(part[m - k :]).any():
+    block = np.ascontiguousarray(est)
+    buf = block.T.copy()
+    buf.partition(m - k, axis=1)
+    if np.isnan(buf[:, m - k :]).any():
         raise DomainError("estimates must not hold NaN")
-    t = part[m - k]
-    hits = np.count_nonzero(est[truth] >= t, axis=0)
+    t = buf[:, m - k]
+    hits = np.count_nonzero(block[truth] >= t, axis=0)
     if k < m:
-        for j in np.flatnonzero(part[: m - k].max(axis=0) == t):
-            hits[j] = np.count_nonzero(truth & (stable_rank(est[:, j]) <= k))
+        for j in np.flatnonzero(buf[:, : m - k].max(axis=1) == t):
+            hits[j] = np.count_nonzero(truth & (stable_rank(block[:, j]) <= k))
     return hits
 
 

@@ -48,10 +48,11 @@ _R_CLIP = (0.01, 0.999)
 _B_BOUNDS = (0.01, 1.5)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # samples per top_hits call in panel_precision_scan. The m x S product is in
-# C order, so a block's partition gathers each column with stride S; at 64
-# samples an m x 64 float64 block (1 MiB at m = 2000) stays in a core's cache
-# where a 512-sample block (8 MiB) misses on every gather. The width never
-# changes a count: each column's top set depends on that column alone.
+# C order, so top_hits copies each block compact and transposes it to sample
+# rows; at 64 samples the m x 64 float64 copy (1 MiB at m = 2000) and its
+# transpose stay in a core's L2, where at 128 the transpose spills and took
+# 1.5-3 times as long per size on 2-core Xeons. The width never changes a
+# count: each column's top set depends on that column alone.
 _SCAN_BLOCK = 64
 # the universe model's fixed shape: spread of the scorers' signal shares,
 # correlation of share and scale shocks, range and sd of the score scales,
@@ -212,8 +213,8 @@ def panel_precision_scan(
     sample would give. The subset means are computed as one matrix
     product with a sparse 0/1-weight matrix; ``top_hits`` then counts each
     sample's top set in blocks of ``_SCAN_BLOCK`` columns, narrow so that
-    each block's strided partition runs in cache, with the same
-    lowest-index tie-break as the precision module. The product is never
+    each block's transpose to sample-major rows runs in cache, with the
+    same lowest-index tie-break as the precision module. The product is never
     split by samples: on some BLAS builds a narrow column slice of the
     weights gives different last bits than the same columns of the full
     product.

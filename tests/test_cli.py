@@ -554,6 +554,17 @@ class TestCurves:
             "t with more dof is normal to the anchor's accuracy\n"
         )
 
+    def test_rho_too_close_to_1_exits_2_before_any_curve(self, capsys, monkeypatch):
+        def no_curves(*args):
+            raise AssertionError("a curve was simulated")
+
+        monkeypatch.setattr(cli, "simulate_distribution_curve", no_curves)
+        assert main(["curves", "--rho", "0.9999999999999999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho 0.9999999999999999 is too close to 1 for the "
+                              "Student-t anchor at m=2000, dof=4: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_zero_trials_exits_2_before_any_draw(self, capsys, monkeypatch):
         draws = []
         monkeypatch.setattr(simulate, "sample_signal", lambda *a: draws.append(a))

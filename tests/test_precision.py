@@ -53,11 +53,14 @@ def reference_overlap(x, v, k_x, k_v):
 
 @st.composite
 def tied_blocks(draw):
-    """An m x B block rounded to one decimal, a truth mask and a k."""
+    """An m x B block rounded to one decimal, in C or F order, a truth mask
+    and a k; B = 1 is drawn often."""
     m = draw(st.integers(1, 30))
-    b = draw(st.integers(1, 8))
+    b = draw(st.just(1) | st.integers(1, 8))
     cells = st.lists(st.floats(-1.0, 1.0), min_size=m * b, max_size=m * b)
     est = np.round(np.array(draw(cells)).reshape(m, b), 1)
+    if draw(st.booleans()):
+        est = np.asfortranarray(est)
     truth = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
     return est, truth, draw(st.integers(1, m))
 
@@ -88,23 +91,52 @@ class TestTopHits:
     )
     def test_matches_stable_argsort(self, block):
         est, truth, k = block
+        before = est.tobytes()
         assert list(top_hits(est, truth, k)) == list(reference_hits(est, truth, k))
+        assert est.tobytes() == before
 
-    @pytest.mark.parametrize("layout", ["C-order column slice", "F-order block"])
+    @pytest.mark.parametrize(
+        "layout",
+        ["C-order column slice", "F-order block", "C-order single column",
+         "F-order single column"],
+    )
     def test_scan_block_views(self, layout):
         """The m x B views a scan can pass: a column slice of a wider C-order
-        matrix, whose columns are strided, and an F-order block."""
+        matrix, whose columns are strided, and an F-order block, each also
+        one column wide (B = 1, the tail of a scan whose sample count is one
+        more than a multiple of the block width)."""
         wide = np.round(np.random.default_rng(7).uniform(-1.0, 1.0, (5, 12)), 1)
         wide[:, 6] = [2.0, 1.0, 1.0, 1.0, 0.0]  # three rows tie for two slots at k = 3
         truth = np.array([False, True, True, False, False])
-        block = wide[:, 4:10]
-        if layout == "F-order block":
+        block = wide[:, 6:7] if layout.endswith("single column") else wide[:, 4:10]
+        if layout.startswith("F-order"):
             block = np.asfortranarray(block)
             assert block.flags.f_contiguous
         else:
             assert not block.flags.c_contiguous
         for k in range(1, 6):
             assert list(top_hits(block, truth, k)) == list(reference_hits(block, truth, k))
+
+    @pytest.mark.parametrize(
+        "layout", ["C-contiguous block", "C-order column slice", "F-order block",
+                   "single column"],
+    )
+    def test_leaves_its_input_unchanged(self, layout):
+        """top_hits partitions in place, so it must do so on its own copy: a
+        copy made as ``np.ascontiguousarray(est.T)`` is a view of an F-order
+        block, and partitioning it would scramble the caller's estimates."""
+        wide = np.random.default_rng(11).standard_normal((300, 40))
+        block = {
+            "C-contiguous block": wide,
+            "C-order column slice": wide[:, 3:29],
+            "F-order block": np.asfortranarray(wide[:, 3:29]),
+            "single column": wide[:, 5:6],
+        }[layout]
+        before, wide_before = block.tobytes(), wide.tobytes()
+        truth = np.arange(300) % 3 == 0
+        for k in (1, 60, 299, 300):
+            top_hits(block, truth, k)
+            assert block.tobytes() == before and wide.tobytes() == wide_before
 
     @pytest.mark.parametrize(
         "column",

@@ -11,8 +11,8 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 61 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 48 small runs of every
+There are 63 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 50 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
 law's regime as well as its domain), a ``formula`` outside the law's
@@ -20,9 +20,12 @@ regime with an ``--n`` of 0, a ``plan`` outside the law's
 regime, a ``plan --n-max`` of 0, an ``analyze --q-points`` of 1,
 ``curves`` at m = 10 on a 50-point grid (whose top-k sizes repeat), a
 ``--t-dof`` of inf and of 1e300, a ``curves --trials`` of 0, ``curves``
-at m = 100,000 with ``--t-dof`` 1e6,
+at m = 100,000 with ``--t-dof`` 1e6, a ``curves --rho`` too close to 1
+for the Student-t anchor,
 the superstar tail of ``scaling --boost``, a ``scaling`` run of 131
-samples per size (two 64-sample scan blocks and a tail), a ``scaling``
+samples per size (two 64-sample scan blocks and a tail), one of 65
+samples at a ``--q`` of 0.001 (a top set of one candidate and a tail
+block of one sample), a ``scaling``
 run whose only panel size is 1, a ``scaling --q`` of 1 (which selects
 every candidate), a ``scaling`` ``--max-size`` above the
 preset's scorer count, a ``scaling`` grid with a repeated ``--q``, a
@@ -102,6 +105,7 @@ CASES = [
     ("curves trials 0", ["curves", "--trials", "0"], ()),
     ("curves large m", ["curves", "--m", "100000", "--rho", "0.99", "--t-dof", "1e6",
                         "--trials", "2", "--points", "5", "--out", OUT, "--format", ALL], ()),
+    ("curves rho near 1", ["curves", "--rho", "0.9999999999999999", "--out", OUT], ()),
     ("scaling grid", ["scaling", "--q", "0.1,0.2", "--rho", "0.4,0.6", "--samples", "60",
                       "--max-size", "8", "--threads", "2", "--out", OUT,
                       "--format", ALL], ()),
@@ -111,6 +115,9 @@ CASES = [
                                     "--max-size", "4"], ()),
     ("scaling 131 samples", ["scaling", "--rho", "0.4,0.6", "--samples", "131",
                              "--max-size", "6", "--out", OUT, "--format", ALL], ()),
+    ("scaling 65 samples at q 0.001", ["scaling", "--preset", "desk", "--q", "0.001", "--rho",
+                                       "0.4,0.7", "--samples", "65", "--max-size", "3",
+                                       "--out", OUT, "--format", ALL], ()),
     ("scaling boost", ["scaling", "--rho", "0.4,0.6", "--samples", "40", "--max-size", "6",
                        "--boost", "1.0", "--out", OUT, "--format", ALL], ()),
     ("scaling max-size 1", ["scaling", "--rho", "0.3,0.7", "--max-size", "1",
