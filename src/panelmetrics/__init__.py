@@ -29,7 +29,7 @@ from .precision import (
     precision_at_q,
     precision_curve,
 )
-from .streams import DistributionSpec, SeededStream
+from .streams import SeededStream
 
 __all__ = [
     "__version__",
@@ -46,5 +46,4 @@ __all__ = [
     "generalized_precision",
     "precision_curve",
     "SeededStream",
-    "DistributionSpec",
 ]

@@ -41,7 +41,7 @@ _MAX_STEP = 0.125
 _TAIL_MASS = 1e-4
 # std_normal_cdf(z) rounds to exactly 1.0 from here on
 _PHI_ONE = 8.3
-# most grid points _winner_match takes: about 80 bytes and 3 us each, so
+# most grid points student_t_grid allows: about 80 bytes and 3 us each, so
 # 80 MiB and 3 s at the limit. The step shrinks with the noise sd, so rho
 # near 1 needs the most (at m = 2000, t(4), rho up to about 1 - 2.4e-7 fits).
 _MAX_GRID_POINTS = 1 << 20
@@ -114,8 +114,13 @@ def student_t_anchor(m: int, rho: float, dof: float) -> float:
 def student_t_grid(m: int, rho: float, dof: float) -> tuple[float, float, float]:
     """Noise sd sigma, grid step and half-width L of ``student_t_anchor``.
 
-    Raises ``DomainError`` for every setting the anchor rejects, without
-    integrating. At rho = 1 the anchor needs no grid and sigma is 0.
+    The step resolves both the t density and the noise kernel, whose
+    scale is sigma. L doubles until the signal mass above it, m * S(L),
+    is at most ``_TAIL_MASS``: heavy tails need a wide grid. Raises
+    ``DomainError`` for every setting the anchor rejects, without
+    integrating: a grid of more than ``_MAX_GRID_POINTS`` points is blamed
+    on the tail when even the largest step cannot cover L, else on rho.
+    At rho = 1 the anchor needs no grid and sigma is 0.
     """
     if m < 2:
         raise DomainError("m must be at least 2")
@@ -130,26 +135,22 @@ def student_t_grid(m: int, rho: float, dof: float) -> tuple[float, float, float]
     if not math.isfinite(sigma):
         raise DomainError(f"rho {rho!r} is too small for the Student-t anchor: "
                           "its noise sd overflows")
-    step, half_width = _winner_grid(m, sigma, dof)
+    half_width = 8.0
+    while m * 0.5 * student_t_sf_two_sided(half_width, dof) > _TAIL_MASS:
+        half_width *= 2.0
+    points = math.ceil(2.0 * half_width / _MAX_STEP) + 1
+    if points > _MAX_GRID_POINTS:
+        raise DomainError(f"the Student-t anchor at m={m}, dof={dof:g} needs a grid of "
+                          f"half-width L={half_width:g} to hold the signal's tail: "
+                          f"{points:.3g} points at step {_MAX_STEP:g}, "
+                          f"more than {_MAX_GRID_POINTS:,}")
+    step = min(_MAX_STEP, sigma / 4.0)
     points = math.ceil(2.0 * half_width / step) + 1
     if points > _MAX_GRID_POINTS:
         raise DomainError(f"rho {rho!r} is too close to 1 for the Student-t anchor at "
                           f"m={m}, dof={dof:g}: its grid would need {points:.3g} points, "
                           f"more than {_MAX_GRID_POINTS:,}")
     return sigma, step, half_width
-
-
-def _winner_grid(m: int, sigma: float, dof: float) -> tuple[float, float]:
-    """Grid step and half-width L for ``_winner_match``.
-
-    The step resolves both the t density and the noise kernel, whose
-    scale is sigma. L doubles until the signal mass above it, m * S(L),
-    is at most ``_TAIL_MASS``: heavy tails need a wide grid.
-    """
-    half_width = 8.0
-    while m * 0.5 * student_t_sf_two_sided(half_width, dof) > _TAIL_MASS:
-        half_width *= 2.0
-    return min(_MAX_STEP, sigma / 4.0), half_width
 
 
 def _winner_match(

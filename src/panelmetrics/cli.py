@@ -54,7 +54,7 @@ from .simulate import (
     regress_b_on_rho,
     simulate_distribution_curve,
 )
-from .streams import DISTRIBUTION_KINDS, DistributionSpec, SeededStream
+from .streams import DISTRIBUTION_KINDS, SeededStream
 
 
 def _parse_value(text: str, kind: type):
@@ -298,9 +298,8 @@ def cmd_curves(args) -> int:
     root = SeededStream(args.seed)
     curves = {}
     for index, kind in enumerate(DISTRIBUTION_KINDS):
-        spec = DistributionSpec(kind, t_dof=args.t_dof)
         curves[kind] = simulate_distribution_curve(
-            spec, args.m, args.rho, args.trials, grid, root.derive(index)
+            kind, args.t_dof, args.m, args.rho, args.trials, grid, root.derive(index)
         )
 
     near_02 = int(np.argmin(np.abs(grid - 0.2)))

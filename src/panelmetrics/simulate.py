@@ -21,7 +21,6 @@ from .errors import DomainError
 from .laws import panel_precision
 from .precision import overlap_counts, stable_rank, top_count, top_hits
 from .streams import (
-    DistributionSpec,
     SeededStream,
     add_calibrated_noise,
     correlation_summary,
@@ -31,7 +30,6 @@ from .streams import (
 )
 
 __all__ = [
-    "UniverseConfig",
     "BGridRow",
     "BRegressionRow",
     "ScanPreset",
@@ -62,33 +60,6 @@ _RHO_SIG_CORR = 0.78
 _SCALE_MIN, _SCALE_MAX = 0.2, 1.2
 _SCALE_SD = 0.2
 _T_MEAN = 7.0
-
-
-@dataclasses.dataclass(frozen=True)
-class UniverseConfig:
-    """Parameters of one synthetic scorer universe.
-
-    Each scorer i gets a latent share r_i of common signal and a score
-    scale s_i, drawn jointly so that higher-correlation scorers tend to
-    spread their scores more. Scores are built from a shared factor,
-    tail-boosted by ``boost`` (0 disables), standardized, then mapped
-    onto the s_i scale around 7.
-    """
-
-    target_rho: float
-    n_ais: int
-    m_candidates: int
-    boost: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target_rho < 1.0:
-            raise DomainError("target_rho must lie strictly between 0 and 1")
-        if self.n_ais < 2:
-            raise DomainError("need at least 2 scorers")
-        if self.m_candidates < 2:
-            raise DomainError("need at least 2 candidates")
-        if not 0.0 <= self.boost < math.inf:
-            raise DomainError("boost must be finite and non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,7 +104,8 @@ PRESETS = {
 
 
 def simulate_distribution_curve(
-    spec: DistributionSpec,
+    kind: str,
+    t_dof: float,
     m: int,
     rho: float,
     trials: int,
@@ -142,8 +114,9 @@ def simulate_distribution_curve(
 ) -> np.ndarray:
     """Average precision over the grid for one signal distribution.
 
-    Per trial: draw the signal, add noise calibrated to correlation rho,
-    and measure the noisy scores' precision curve against the signal.
+    Per trial: draw the signal of ``kind`` (``sample_signal``, which
+    takes ``t_dof``), add noise calibrated to correlation rho, and measure
+    the noisy scores' precision curve against the signal.
     Trial t draws its signal from ``stream.derive(0).derive(t)`` and its
     noise from ``stream.derive(1).derive(t)``. ``children`` hands each
     trial those two streams by re-keying one Philox per root instead of
@@ -156,28 +129,35 @@ def simulate_distribution_curve(
     ks = top_count(q_grid, m)
     totals = np.zeros(q_grid.size)
     for signal_g, noise_g in zip(signal_root.children(trials), noise_root.children(trials)):
-        nu = sample_signal(spec, m, signal_g)
+        nu = sample_signal(kind, m, signal_g, t_dof)
         x = add_calibrated_noise(nu, rho, noise_g)
         totals += overlap_counts(stable_rank(x), stable_rank(nu))[ks] / ks
     return totals / trials
 
 
-def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> np.ndarray:
-    """Draw one universe: per-scorer (r_i, s_i), then the m x n score matrix.
+def generate_universe(
+    rho: float, n_ais: int, m_candidates: int, stream: SeededStream, boost: float = 0.0
+) -> np.ndarray:
+    """Draw one universe of target correlation rho: the m x n score matrix.
 
-    The universe's ground truth is the mean of all n scorers. (r_i, s_i)
-    come from a bivariate normal written in conditional form (s_i
-    regressed on the same shock as r_i). Column i is
-    sqrt(r_i) * Z_common + sqrt(1 - r_i) * Z_i, so two columns with
-    shares r correlate at about r before the tail transform. A boost so
-    large that the boosted columns' sd overflows raises DomainError.
+    Each scorer i gets a latent share r_i of common signal and a score
+    scale s_i, drawn jointly from a bivariate normal written in
+    conditional form (s_i regressed on the same shock as r_i), so that
+    higher-correlation scorers tend to spread their scores more. Column i
+    is sqrt(r_i) * Z_common + sqrt(1 - r_i) * Z_i, so two columns with
+    shares r correlate at about r before the tail transform. Columns are
+    tail-boosted by ``boost`` (0 disables), standardized, then mapped
+    onto the s_i scale around 7. The universe's ground truth is the mean
+    of all n scorers. A boost so large that the boosted columns' sd
+    overflows raises DomainError.
     """
+    _check_universe(rho, n_ais, m_candidates, boost)
     g = stream.generator()
-    n, m = cfg.n_ais, cfg.m_candidates
+    n, m = n_ais, m_candidates
 
     e0 = g.standard_normal(n)
     e1 = g.standard_normal(n)
-    r = np.clip(cfg.target_rho + _SIG_RHO * e0, *_R_CLIP)
+    r = np.clip(rho + _SIG_RHO * e0, *_R_CLIP)
     c = _RHO_SIG_CORR
     s_center = 0.5 * (_SCALE_MIN + _SCALE_MAX)
     s_shock = c * e0 + math.sqrt(1.0 - c * c) * e1
@@ -187,12 +167,24 @@ def generate_universe(cfg: UniverseConfig, stream: SeededStream) -> np.ndarray:
     z_own = g.standard_normal((m, n))
     raw = np.sqrt(r)[None, :] * z_common[:, None] + np.sqrt(1.0 - r)[None, :] * z_own
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = superstar_transform(raw, cfg.boost)
+        raw = superstar_transform(raw, boost)
     try:
         return standardize(raw) * s[None, :] + _T_MEAN
     except DomainError:
         # normal columns always spread, so only the boost can take that away
-        raise DomainError(f"boost {cfg.boost:g} overflows the tail transform") from None
+        raise DomainError(f"boost {boost:g} overflows the tail transform") from None
+
+
+def _check_universe(rho: float, n_ais: int, m_candidates: int, boost: float) -> None:
+    """Reject a universe that ``generate_universe`` cannot draw."""
+    if not 0.0 < rho < 1.0:
+        raise DomainError("target_rho must lie strictly between 0 and 1")
+    if n_ais < 2:
+        raise DomainError("need at least 2 scorers")
+    if m_candidates < 2:
+        raise DomainError("need at least 2 candidates")
+    if not 0.0 <= boost < math.inf:
+        raise DomainError("boost must be finite and non-negative")
 
 
 def panel_precision_scan(
@@ -359,18 +351,23 @@ def b_grid_scan(
     cells = []
     for i_q, q in enumerate(q_values):
         for i_r, rho in enumerate(rho_targets):
-            cfg = UniverseConfig(rho, scan.n_ais, scan.m_candidates, boost)
+            _check_universe(rho, scan.n_ais, scan.m_candidates, boost)
             _scan_plan(scan.n_ais, scan.m_candidates, q, scan.sizes, scan.samples_per_size)
-            cells.append((q, cfg, root.derive(i_q * len(rho_targets) + i_r)))
+            cells.append((q, rho, root.derive(i_q * len(rho_targets) + i_r)))
 
     def run(cell):
-        q, cfg, cell_stream = cell
-        scores = generate_universe(cfg, cell_stream.derive(0))
+        q, target, cell_stream = cell
+        scores = generate_universe(
+            target, scan.n_ais, scan.m_candidates, cell_stream.derive(0), boost
+        )
         avg = panel_precision_scan(
             scores, q, cell_stream.derive(1), scan.sizes, scan.samples_per_size
         )
         rho = correlation_summary(scores)[1]
-        return BGridRow(q, cfg.target_rho, rho, fit_exponent_b(scan.sizes, avg, rho, q))
+        if not 0.0 < rho < 1.0:
+            raise DomainError(f"cell q={q:g}, target rho {target:g}: measured rho {rho!r} "
+                              "lies outside (0, 1), so b cannot be fitted")
+        return BGridRow(q, target, rho, fit_exponent_b(scan.sizes, avg, rho, q))
 
     if threads == 1:
         return [run(cell) for cell in cells]

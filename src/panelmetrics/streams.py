@@ -32,7 +32,6 @@ from .errors import DomainError
 __all__ = [
     "SeededStream",
     "DISTRIBUTION_KINDS",
-    "DistributionSpec",
     "sample_signal",
     "add_calibrated_noise",
     "superstar_transform",
@@ -108,43 +107,31 @@ class SeededStream:
         return SeededStream(self.seed, mixed)
 
 
-@dataclasses.dataclass(frozen=True)
-class DistributionSpec:
-    """Signal distribution for synthetic candidate quality.
+def sample_signal(kind: str, m: int, g: np.random.Generator, t_dof: float = 4.0) -> np.ndarray:
+    """Draw ``m`` independent signal values of distribution ``kind`` with ``g``.
 
-    ``t_dof`` must exceed 2 so the signal has finite variance; the
-    additive-noise calibration divides by its sample sd. The Pareto
-    signal has shape 3 for the same reason.
+    ``kind`` is one of ``DISTRIBUTION_KINDS``. ``t_dof``, the Student-t
+    signal's degrees of freedom, must exceed 2 whatever the kind, so the
+    signal has finite variance: the additive-noise calibration divides by
+    its sample sd. The Pareto signal has shape 3 for the same reason.
     """
-
-    kind: str
-    t_dof: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in DISTRIBUTION_KINDS:
-            raise DomainError(
-                f"unknown distribution kind {self.kind!r}; "
-                f"expected one of {DISTRIBUTION_KINDS}"
-            )
-        if not self.t_dof > 2:
-            raise DomainError("t_dof must exceed 2 (finite variance)")
-
-
-def sample_signal(dist: DistributionSpec, m: int, g: np.random.Generator) -> np.ndarray:
-    """Draw ``m`` independent signal values from ``dist`` with ``g``."""
+    if not t_dof > 2:
+        raise DomainError("t_dof must exceed 2 (finite variance)")
     if m < 2:
         raise DomainError("need at least 2 draws")
-    if dist.kind == "normal":
+    if kind == "normal":
         return g.standard_normal(m)
-    if dist.kind == "lognormal":
+    if kind == "lognormal":
         return g.lognormal(0.0, 1.0, m)
-    if dist.kind == "pareto":
+    if kind == "pareto":
         # numpy's pareto is the Lomax form; the shift restores support [1, inf)
         return 1.0 + g.pareto(3.0, m)
-    if dist.kind == "student_t":
+    if kind == "student_t":
         # handles non-integer dof via the normal / chi-square ratio
-        return g.standard_t(dist.t_dof, m)
-    raise DomainError(f"unknown distribution kind {dist.kind!r}")
+        return g.standard_t(t_dof, m)
+    raise DomainError(
+        f"unknown distribution kind {kind!r}; expected one of {DISTRIBUTION_KINDS}"
+    )
 
 
 def add_calibrated_noise(

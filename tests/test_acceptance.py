@@ -5,7 +5,6 @@ asserting, so a verbose run reads as a checklist. Stochastic checks use
 fixed, pre-registered seeds; the Monte-Carlo oracle in criterion 4 runs
 on numpy's own generator so it shares nothing with the package streams.
 """
-import dataclasses
 import time
 
 import numpy as np
@@ -31,7 +30,6 @@ from panelmetrics.precision import (
 )
 from panelmetrics.simulate import (
     PRESETS,
-    UniverseConfig,
     b_grid_scan,
     fit_exponent_b,
     generate_universe,
@@ -44,7 +42,6 @@ from panelmetrics.special import (
     student_t_sf_two_sided,
 )
 from panelmetrics.streams import (
-    DistributionSpec,
     SeededStream,
     add_calibrated_noise,
     correlation_summary,
@@ -217,12 +214,11 @@ def test_criterion_6_intercept_tracks_mean_correlation(equicorr_matrix):
 def test_criterion_7_single_scorer_simulation():
     t0 = time.perf_counter()
     m, rho, trials = 2000, 0.8, 500
-    spec = DistributionSpec("normal")
     root = SeededStream(7)
     signal_root, noise_root = root.derive(0), root.derive(1)
     total = 0.0
     for trial in range(trials):
-        nu = sample_signal(spec, m, signal_root.derive(trial).generator())
+        nu = sample_signal("normal", m, signal_root.derive(trial).generator())
         x = add_calibrated_noise(nu, rho, noise_root.derive(trial).generator())
         total += precision_at_q(x, nu, 0.2)
     simulated = total / trials
@@ -286,9 +282,8 @@ def test_criterion_8_property_suite(equicorr_matrix):
         fit_ok = fit_ok and abs(fit_exponent_b(sizes, p, 0.5, 0.2) - b0) <= 1e-3
     checks["fit_round_trip"] = fit_ok
 
-    small = UniverseConfig(target_rho=0.5, n_ais=20, m_candidates=400)
     full = panel_precision_scan(
-        generate_universe(small, SeededStream(88)), 0.2, SeededStream(89),
+        generate_universe(0.5, 20, 400, SeededStream(88)), 0.2, SeededStream(89),
         sizes=[20], samples_per_size=10,
     )
     checks["full_panel_precision_one"] = full[0] == 1.0
@@ -296,11 +291,9 @@ def test_criterion_8_property_suite(equicorr_matrix):
     weights = optimal_weights(correlation_summary(equicorr_matrix(300, 3, 0.5, seed=8))[0])
     checks["weights_sum_one"] = abs(weights.sum() - 1.0) <= 1e-9
 
-    cfg0 = UniverseConfig(target_rho=0.5, n_ais=40, m_candidates=1000)
-    cfg1 = dataclasses.replace(cfg0, boost=1.0)
     b_pair = []
-    for cfg in (cfg0, cfg1):
-        scores = generate_universe(cfg, SeededStream(0, 5))
+    for boost in (0.0, 1.0):
+        scores = generate_universe(0.5, 40, 1000, SeededStream(0, 5), boost)
         avg = panel_precision_scan(
             scores, 0.2, SeededStream(1, 5), sizes=range(1, 13), samples_per_size=300
         )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ import pytest
 from panelmetrics.anchors import (
     MAX_T_DOF,
     AnchorSet,
-    _winner_grid,
     _winner_match,
     compute_anchors,
     heavy_tail_anchor,
     normal_limit_anchor,
     reference_line,
     student_t_anchor,
+    student_t_grid,
 )
 from panelmetrics.errors import DomainError
 
@@ -75,8 +76,7 @@ class TestStudentTAnchor:
     @pytest.mark.parametrize("rho", [0.05, 0.8, 0.99])
     def test_grid_refinement_moves_less_than_1e5(self, rho, dof):
         m = 2000
-        sigma = math.sqrt(dof / (dof - 2.0)) * math.sqrt(1.0 / rho**2 - 1.0)
-        step, half_width = _winner_grid(m, sigma, dof)
+        sigma, step, half_width = student_t_grid(m, rho, dof)
         base = _winner_match(m, sigma, dof, step, half_width)
         assert base == student_t_anchor(m, rho, dof)
         finer = _winner_match(m, sigma, dof, step / 2.0, half_width * 2.0)
@@ -122,6 +122,17 @@ class TestStudentTAnchor:
         # the noise sd 1.5e-8 would need a grid of 4.9e10 points (390 GB)
         with pytest.raises(DomainError, match=r"^rho 0\.9999999999999999 is too close to 1 "):
             student_t_anchor(2000, 1.0 - 2.0**-53, 4.0)
+
+    @pytest.mark.parametrize("m, dof, half_width, points", [
+        (10**7, 2.001, 262144, "4.19e+06"), (10**6, 2.01, 131072, "2.1e+06"),
+    ])
+    def test_tail_too_wide_for_the_grid_blames_the_tail(self, m, dof, half_width, points):
+        # the grid is too wide at a step of 0.125 whatever rho is
+        message = (f"^the Student-t anchor at m={m}, dof={dof:g} needs a grid of half-width "
+                   f"L={half_width} to hold the signal's tail: {re.escape(points)} points at "
+                   "step 0.125, more than 1,048,576$")
+        with pytest.raises(DomainError, match=message):
+            student_t_grid(m, 0.5, dof)
 
     def test_largest_dof_is_near_its_normal_limit(self):
         """The last half decade of dof below MAX_T_DOF moves the anchor by

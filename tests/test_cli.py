@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 from xml.dom import minidom
 
 import numpy as np
@@ -565,6 +566,18 @@ class TestCurves:
                               "Student-t anchor at m=2000, dof=4: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    def test_tail_too_wide_for_the_grid_exits_2_before_any_curve(self, capsys, monkeypatch):
+        def no_curves(*args):
+            raise AssertionError("a curve was simulated")
+
+        monkeypatch.setattr(cli, "simulate_distribution_curve", no_curves)
+        assert main(["curves", "--m", "10000000", "--t-dof", "2.001", "--rho", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the Student-t anchor at m=10000000, dof=2.001 needs a grid of "
+            "half-width L=262144 to hold the signal's tail: 4.19e+06 points at step "
+            "0.125, more than 1,048,576\n"
+        )
+
     def test_zero_trials_exits_2_before_any_draw(self, capsys, monkeypatch):
         draws = []
         monkeypatch.setattr(simulate, "sample_signal", lambda *a: draws.append(a))
@@ -586,6 +599,53 @@ SCALING_SMALL = [
     "--max-size", "5",
     "--seed", "3",
 ]
+
+
+# q and rho at and near the edges of their domains: q = 1 selects every
+# candidate, and a rho of 1e-300 or 1 - 2**-53 is a valid target
+SCALING_QS = st.sampled_from([1e-9, 0.2, 0.5, 1.0]) | st.floats(1e-9, 1.0)
+SCALING_RHOS = st.sampled_from([1e-300, 1e-9, 0.5, 1.0 - 2.0**-53]) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True
+)
+
+
+class TestScalingMatrix:
+    """scaling over tiny universes, and q, rho and --boost at their edges, run through main."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_ais=st.integers(2, 6), m=st.integers(2, 40), samples=st.integers(1, 5),
+           max_size=st.integers(1, 3),
+           qs=st.lists(SCALING_QS, min_size=1, max_size=2, unique=True),
+           rhos=st.lists(SCALING_RHOS, min_size=1, max_size=3, unique=True),
+           boost=st.sampled_from([0.0, 1.0, 50.0, 1e300]), threads=st.sampled_from([1, 2]),
+           seed=st.integers(0, 3))
+    # measures rho -0.0303 at a target of 0.01; fit_exponent_b's own error
+    # used to name neither the cell nor the measured value
+    @example(n_ais=3, m=6, samples=3, max_size=3, qs=[0.3], rhos=[0.01, 0.02], boost=0.0,
+             threads=1, seed=1)
+    @pytest.mark.filterwarnings("error")
+    def test_scaling(self, n_ais, m, samples, max_size, qs, rhos, boost, threads, seed):
+        tiny = dataclasses.replace(simulate.PRESETS["desk"], n_ais=n_ais, m_candidates=m)
+        argv = ["scaling", f"--q={','.join(map(repr, qs))}",
+                f"--rho={','.join(map(repr, rhos))}", f"--samples={samples}",
+                f"--max-size={max_size}", f"--boost={boost!r}", f"--threads={threads}",
+                f"--seed={seed}", "--format=json"]
+        with mock.patch.dict(simulate.PRESETS, desk=tiny):
+            rc, out, err, docs = run_in_process(argv)
+        assert_clean_exit(rc, err, {0, 2})
+        if rc != 0:
+            return
+        cells = len(qs) * len(rhos)
+        lines = out.splitlines()
+        assert lines[0] == "q,target_rho,measured_rho,best_b"
+        assert len([line for line in lines[1:] if not line.startswith("q=")]) == cells
+        doc = docs["b_grid.json"]
+        assert len(doc["rows"]) == cells
+        for row in doc["rows"]:
+            assert 0.0 < row["measured_rho"] < 1.0
+            assert 0.01 <= row["best_b"] <= 1.5
+        for reg in doc["regressions"]:
+            assert 0.0 <= reg["r_squared"] <= 1.0
 
 
 class TestScaling:

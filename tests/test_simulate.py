@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -10,7 +9,6 @@ from panelmetrics.errors import DomainError
 from panelmetrics.precision import log_q_grid, precision_curve, stable_rank, top_count
 from panelmetrics.simulate import (
     ScanPreset,
-    UniverseConfig,
     b_grid_scan,
     fit_exponent_b,
     generate_universe,
@@ -21,7 +19,6 @@ from panelmetrics.simulate import (
 )
 from panelmetrics.streams import (
     DISTRIBUTION_KINDS,
-    DistributionSpec,
     SeededStream,
     add_calibrated_noise,
     correlation_summary,
@@ -34,60 +31,47 @@ SMALL = dict(n_ais=20, m_candidates=400)
 PAPER = dict(n_ais=100, m_candidates=2000)
 
 
-class TestUniverseConfig:
-    def test_defaults_are_paper_scale(self):
-        cfg = UniverseConfig(target_rho=0.5, **PAPER)
-        assert [f.name for f in dataclasses.fields(cfg)] == [
-            "target_rho", "n_ais", "m_candidates", "boost"
-        ]
-
+class TestGenerateUniverse:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(target_rho=0.0),
-            dict(target_rho=1.0),
-            dict(target_rho=0.5, n_ais=1),
-            dict(target_rho=0.5, boost=-1.0),
-            dict(target_rho=0.5, boost=float("nan")),
-            dict(target_rho=0.5, boost=float("inf")),
+            dict(rho=0.0),
+            dict(rho=1.0),
+            dict(rho=0.5, n_ais=1),
+            dict(rho=0.5, boost=-1.0),
+            dict(rho=0.5, boost=float("nan")),
+            dict(rho=0.5, boost=float("inf")),
+            dict(rho=0.5, m_candidates=1),
         ],
     )
-    def test_invalid_configs_rejected(self, kwargs):
+    def test_invalid_arguments_rejected(self, kwargs):
         with pytest.raises(DomainError):
-            UniverseConfig(**{**PAPER, **kwargs})
+            generate_universe(stream=SeededStream(0), **{**PAPER, **kwargs})
 
-
-class TestGenerateUniverse:
     def test_shapes_and_truth_consistency(self):
-        cfg = UniverseConfig(target_rho=0.5, **SMALL)
-        scores = generate_universe(cfg, SeededStream(1))
+        scores = generate_universe(0.5, **SMALL, stream=SeededStream(1))
         assert scores.shape == (400, 20)
         assert -1.0 < correlation_summary(scores)[1] < 1.0
 
     def test_column_scales_respect_bounds(self):
-        cfg = UniverseConfig(target_rho=0.5, **SMALL)
-        sds = generate_universe(cfg, SeededStream(2)).std(axis=0)
+        sds = generate_universe(0.5, **SMALL, stream=SeededStream(2)).std(axis=0)
         assert np.all(sds >= 0.2 - 1e-9)
         assert np.all(sds <= 1.2 + 1e-9)
 
     def test_tight_spread_hits_target_rho(self):
         # the scorers' signal shares spread by only 0.05 around the target,
         # so the factor model keeps the mean pairwise correlation near it
-        cfg = UniverseConfig(target_rho=0.6, **PAPER)
-        scores = generate_universe(cfg, SeededStream(3))
+        scores = generate_universe(0.6, **PAPER, stream=SeededStream(3))
         assert correlation_summary(scores)[1] == pytest.approx(0.6, abs=0.02)
 
     def test_deterministic(self):
-        cfg = UniverseConfig(target_rho=0.4, **SMALL)
-        a = generate_universe(cfg, SeededStream(9))
-        b = generate_universe(cfg, SeededStream(9))
+        a = generate_universe(0.4, **SMALL, stream=SeededStream(9))
+        b = generate_universe(0.4, **SMALL, stream=SeededStream(9))
         assert a.tobytes() == b.tobytes()
 
     def test_boost_changes_scores_not_center(self):
-        cfg = UniverseConfig(target_rho=0.5, **SMALL)
-        boosted = dataclasses.replace(cfg, boost=1.0)
-        a = generate_universe(cfg, SeededStream(4))
-        b = generate_universe(boosted, SeededStream(4))
+        a = generate_universe(0.5, **SMALL, stream=SeededStream(4))
+        b = generate_universe(0.5, **SMALL, stream=SeededStream(4), boost=1.0)
         assert not np.array_equal(a, b)
         assert b.mean() == pytest.approx(7.0, abs=1e-9)
 
@@ -95,9 +79,8 @@ class TestGenerateUniverse:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("boost", [1e200, 1e308])
     def test_overflowing_boost_rejected(self, boost):
-        cfg = UniverseConfig(target_rho=0.5, boost=boost, **SMALL)
         with pytest.raises(DomainError, match=re.escape(f"boost {boost:g} overflows")):
-            generate_universe(cfg, SeededStream(4))
+            generate_universe(0.5, **SMALL, stream=SeededStream(4), boost=boost)
 
 
 class TestMeanOffdiagCorrelation:
@@ -142,7 +125,7 @@ class TestMeanOffdiagCorrelation:
 
 @pytest.fixture(scope="module")
 def small_universe():
-    return generate_universe(UniverseConfig(target_rho=0.5, **SMALL), SeededStream(20))
+    return generate_universe(0.5, **SMALL, stream=SeededStream(20))
 
 
 class TestPanelPrecisionScan:
@@ -261,7 +244,7 @@ def test_scan_matches_argsort_at_benchmark_shape():
     whose product runs BLAS's large-shape kernels, over blocks and a tail.
     Rounded scores tie heavily, so a last-bit change in the product moves
     some top sets."""
-    paper = generate_universe(UniverseConfig(target_rho=0.5, **PAPER), SeededStream(25))
+    paper = generate_universe(0.5, **PAPER, stream=SeededStream(25))
     scores = np.round(paper, 1)
     sizes = [1, 2, 5, 10, 30]
     samples = 3 * simulate._SCAN_BLOCK + 5
@@ -342,13 +325,23 @@ class TestBGridScan:
         for i_q, q in enumerate(q_values):
             for i_r, rho in enumerate(rhos):
                 cell = root.derive(i_q * len(rhos) + i_r)
-                cfg = UniverseConfig(rho, n_ais=12, m_candidates=300, boost=0.5)
-                scores = generate_universe(cfg, cell.derive(0))
+                scores = generate_universe(rho, 12, 300, cell.derive(0), boost=0.5)
                 avg = panel_precision_scan(scores, q, cell.derive(1), range(1, 6), 70)
                 measured = correlation_summary(scores)[1]
                 best_b = fit_exponent_b(range(1, 6), avg, measured, q)
                 expected.append(BGridRow(q, rho, measured, best_b))
         assert rows == expected
+
+    def test_measured_rho_outside_unit_interval_named(self, monkeypatch):
+        # three scorers over six candidates measure -0.0303 at a target of 0.01
+        def no_fit(*args):
+            raise AssertionError("b was fitted")
+
+        monkeypatch.setattr(simulate, "fit_exponent_b", no_fit)
+        message = (r"^cell q=0\.3, target rho 0\.01: measured rho -0\.0302\d* lies "
+                   r"outside \(0, 1\), so b cannot be fitted$")
+        with pytest.raises(DomainError, match=message):
+            b_grid_scan([0.3], [0.01, 0.02], ScanPreset(3, 6, 3, 3), 1)
 
 
 class TestRegressBOnRho:
@@ -392,16 +385,16 @@ class TestSimulateDistributionCurve:
         """The hoisted grid sizes give the average of the per-trial
         precision_curve values bit for bit; at m = 10 a 50-point grid
         holds each size several times."""
-        spec, m, rho, trials = DistributionSpec(kind), 10, 0.6, 7
+        m, rho, trials = 10, 0.6, 7
         grid = log_q_grid(m, 50)
         assert np.unique(top_count(grid, m)).size < grid.size
         stream = SeededStream(11).derive(3)
         totals = np.zeros(grid.size)
         for trial in range(trials):
-            nu = sample_signal(spec, m, stream.derive(0).derive(trial).generator())
+            nu = sample_signal(kind, m, stream.derive(0).derive(trial).generator())
             x = add_calibrated_noise(nu, rho, stream.derive(1).derive(trial).generator())
             totals += precision_curve(x, nu, grid)
-        got = simulate_distribution_curve(spec, m, rho, trials, grid, stream)
+        got = simulate_distribution_curve(kind, 4.0, m, rho, trials, grid, stream)
         assert got.tobytes() == (totals / trials).tobytes()
 
     @pytest.mark.filterwarnings("error")
@@ -409,5 +402,5 @@ class TestSimulateDistributionCurve:
     def test_rejects_fewer_than_one_trial(self, trials):
         with pytest.raises(DomainError, match="^trials must be at least 1$"):
             simulate_distribution_curve(
-                DistributionSpec("normal"), 10, 0.6, trials, log_q_grid(10, 5), SeededStream(0)
+                "normal", 4.0, 10, 0.6, trials, log_q_grid(10, 5), SeededStream(0)
             )

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from panelmetrics.errors import DomainError
 from panelmetrics.streams import (
-    DistributionSpec,
+    DISTRIBUTION_KINDS,
     SeededStream,
     add_calibrated_noise,
     sample_signal,
@@ -116,67 +117,66 @@ def test_philox_is_built_only_in_streams():
     assert set(found) == {"src/panelmetrics/streams.py"}, found
 
 
-class TestDistributionSpec:
+class TestSampleSignal:
     def test_kinds_accepted(self):
-        for kind in ("normal", "lognormal", "pareto", "student_t"):
-            DistributionSpec(kind)
+        for kind in DISTRIBUTION_KINDS:
+            assert sample_signal(kind, 8, SeededStream(0).generator()).shape == (8,)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError):
-            DistributionSpec("cauchy")
+        message = ("unknown distribution kind 'cauchy'; expected one of "
+                   "('normal', 'lognormal', 'pareto', 'student_t')")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sample_signal("cauchy", 8, SeededStream(0).generator())
 
     def test_infinite_variance_parameters_rejected(self):
-        with pytest.raises(DomainError):
-            DistributionSpec("student_t", t_dof=1.5)
+        # t_dof is checked whatever the kind
+        for kind in DISTRIBUTION_KINDS:
+            with pytest.raises(DomainError, match=r"^t_dof must exceed 2 \(finite variance\)$"):
+                sample_signal(kind, 8, SeededStream(0).generator(), t_dof=1.5)
 
-
-class TestSampleSignal:
     def test_deterministic(self):
-        spec = DistributionSpec("lognormal")
         s = SeededStream(9, 2)
-        assert np.array_equal(sample_signal(spec, 64, s.generator()),
-                              sample_signal(spec, 64, s.generator()))
+        assert np.array_equal(sample_signal("lognormal", 64, s.generator()),
+                              sample_signal("lognormal", 64, s.generator()))
 
     def test_pareto_support_starts_at_one(self):
-        draws = sample_signal(DistributionSpec("pareto"), 20000, SeededStream(1).generator())
+        draws = sample_signal("pareto", 20000, SeededStream(1).generator())
         assert draws.min() >= 1.0
 
     def test_pareto_mean_matches_classical_form(self):
         # shape 3 classical Pareto has mean shape/(shape-1) = 1.5
-        draws = sample_signal(DistributionSpec("pareto"), 200000, SeededStream(2).generator())
+        draws = sample_signal("pareto", 200000, SeededStream(2).generator())
         assert draws.mean() == pytest.approx(1.5, abs=0.02)
 
     def test_lognormal_median(self):
-        draws = sample_signal(DistributionSpec("lognormal"), 100000, SeededStream(3).generator())
+        draws = sample_signal("lognormal", 100000, SeededStream(3).generator())
         assert np.median(draws) == pytest.approx(1.0, abs=0.02)
 
     def test_student_t_fractional_dof(self):
-        draws = sample_signal(
-            DistributionSpec("student_t", t_dof=2.5), 1000, SeededStream(4).generator()
-        )
+        draws = sample_signal("student_t", 1000, SeededStream(4).generator(), t_dof=2.5)
         assert draws.shape == (1000,)
         assert np.isfinite(draws).all()
 
     def test_needs_two_draws(self):
         with pytest.raises(DomainError):
-            sample_signal(DistributionSpec("normal"), 1, SeededStream(0).generator())
+            sample_signal("normal", 1, SeededStream(0).generator())
 
 
 class TestAddCalibratedNoise:
     def test_achieves_target_correlation(self):
-        nu = sample_signal(DistributionSpec("normal"), 100000, SeededStream(11).generator())
+        nu = sample_signal("normal", 100000, SeededStream(11).generator())
         for rho in (0.3, 0.7, 0.95):
             x = add_calibrated_noise(nu, rho, SeededStream(12).generator())
             assert np.corrcoef(nu, x)[0, 1] == pytest.approx(rho, abs=0.01)
 
     def test_calibration_is_scale_free(self):
-        nu = sample_signal(DistributionSpec("lognormal"), 50000, SeededStream(13).generator())
+        nu = sample_signal("lognormal", 50000, SeededStream(13).generator())
         x_base = add_calibrated_noise(nu, 0.6, SeededStream(14).generator())
         x_scaled = add_calibrated_noise(nu * 37.0, 0.6, SeededStream(14).generator())
         assert np.allclose(x_scaled, x_base * 37.0)
 
     def test_high_rho_limit_shrinks_noise(self):
-        nu = sample_signal(DistributionSpec("normal"), 1000, SeededStream(15).generator())
+        nu = sample_signal("normal", 1000, SeededStream(15).generator())
         x = add_calibrated_noise(nu, 0.999999, SeededStream(16).generator())
         assert np.max(np.abs(x - nu)) < 0.05
 

@@ -11,8 +11,8 @@ sha256 of every file written under ``out``, ``run.json`` included. It
 prints one line per case and one per difference, and exits 1 if any
 case differs, 0 otherwise.
 
-There are 63 cases: the four benchmark workloads
-(``perfbench/workloads.py``) at seeds 0-2, then 50 small runs of every
+There are 64 cases: the four benchmark workloads
+(``perfbench/workloads.py``) at seeds 0-2, then 52 small runs of every
 command, including the paths that exit 2, 3 and 4, a ``--threads``
 below 1, a non-numeric ``--n``, a ``formula --q`` of -1 (outside the
 law's regime as well as its domain), a ``formula`` outside the law's
@@ -29,6 +29,8 @@ block of one sample), a ``scaling``
 run whose only panel size is 1, a ``scaling --q`` of 1 (which selects
 every candidate), a ``scaling`` ``--max-size`` above the
 preset's scorer count, a ``scaling`` grid with a repeated ``--q``, a
+``scaling`` grid at ``--rho`` 1e-9 and 0.001, whose scorers' signal shares
+sit at their lower clip and whose fitted b sits at the end of its bracket, a
 table whose scorers all give ranks, one with a scorer that always gives
 7.3, one of a single task with two scorers, one of a single task
 scaled by 1e200, whose squared spread overflows, one whose first
@@ -130,6 +132,8 @@ CASES = [
                             "20", "--max-size", "3", "--out", OUT], ()),
     ("scaling boost nan", ["scaling", "--rho", "0.5", "--samples", "10", "--max-size", "3",
                            "--boost", "nan"], ()),
+    ("scaling rho at the r clip", ["scaling", "--q", "0.2", "--rho", "1e-9,0.001", "--samples",
+                                   "20", "--max-size", "3", "--out", OUT], ()),
     ("analyze csv", ["analyze", workloads.SCORES, "--threads", "2", "--out", OUT,
                      "--format", ALL], (f"seed0/{workloads.SCORES}",)),
     ("analyze json", ["analyze", "scores.json", "--out", OUT, "--format", "json"],
