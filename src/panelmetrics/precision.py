@@ -11,10 +11,9 @@ Every top-k set is decided by ``stable_rank``, the only code that breaks
 ties: it argsorts a vector once and puts tied runs back in index order,
 and the top-k slice is the set of ranks <= k. ``overlap_counts`` turns
 two rankings into the overlap size for every k at once. ``top_hits``
-counts the same top-k sets for every column of a matrix: it selects on a
-sample-major copy, one contiguous row per column, partitioning each at
-its k-th largest value and ranking only a column whose tie straddles
-that cut; it rejects NaN.
+counts the same top-k sets for every row of a B x m matrix: it
+partitions a copy of each row at its k-th largest value and ranks only a
+row whose tie straddles that cut; it rejects NaN.
 """
 from __future__ import annotations
 
@@ -86,34 +85,32 @@ def overlap_counts(rank_x: np.ndarray, rank_v: np.ndarray) -> np.ndarray:
 
 
 def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
-    """How many ``truth`` rows each column's top-k rows hold, for an m x B block.
+    """How many ``truth`` entries each row's top k holds, for a B x m block.
 
-    A column's top-k rows are those with ``stable_rank(column) <= k``, so
-    ties are ``stable_rank``'s. A compact copy of the block is transposed
-    into a B x m sample-major buffer, and partitioning its contiguous rows
-    in place finds each column's k-th largest value t. Every row at or
+    A row's top k are the entries with ``stable_rank(row) <= k``, so ties
+    are ``stable_rank``'s. Partitioning a C-order copy of the block along
+    its rows finds each row's k-th largest value t. Every entry at or
     above t is in the set unless a tie with t is left below the partition
-    point; only such a column is ranked. A column holding NaN raises
+    point; only such a row is ranked. A row holding NaN raises
     ``DomainError``: the partition sorts NaN last, so any NaN lands in
     the entries from m - k on.
     """
     est = np.asarray(estimates, dtype=float)
     truth = np.asarray(truth, dtype=bool)
-    m = est.shape[0]
-    if est.ndim != 2 or truth.shape != (m,):
-        raise DomainError("need an m x B matrix and a length-m truth mask")
+    if est.ndim != 2 or truth.shape != est.shape[1:]:
+        raise DomainError("need a B x m matrix and a length-m truth mask")
+    m = est.shape[1]
     if not 1 <= k <= m:
         raise DomainError(f"k must lie in 1..{m}")
-    block = np.ascontiguousarray(est)
-    buf = block.T.copy()
+    buf = est.copy()
     buf.partition(m - k, axis=1)
     if np.isnan(buf[:, m - k :]).any():
         raise DomainError("estimates must not hold NaN")
     t = buf[:, m - k]
-    hits = np.count_nonzero(block[truth] >= t, axis=0)
+    hits = np.count_nonzero(est[:, truth] >= t[:, None], axis=1)
     if k < m:
         for j in np.flatnonzero(buf[:, : m - k].max(axis=1) == t):
-            hits[j] = np.count_nonzero(truth & (stable_rank(block[:, j]) <= k))
+            hits[j] = np.count_nonzero(truth & (stable_rank(est[j]) <= k))
     return hits
 
 

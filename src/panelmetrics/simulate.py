@@ -45,12 +45,10 @@ __all__ = [
 _R_CLIP = (0.01, 0.999)
 _B_BOUNDS = (0.01, 1.5)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# samples per top_hits call in panel_precision_scan. The m x S product is in
-# C order, so top_hits copies each block compact and transposes it to sample
-# rows; at 64 samples the m x 64 float64 copy (1 MiB at m = 2000) and its
-# transpose stay in a core's L2, where at 128 the transpose spills and took
-# 1.5-3 times as long per size on 2-core Xeons. The width never changes a
-# count: each column's top set depends on that column alone.
+# samples per top_hits call in panel_precision_scan: the B x m running sum
+# and top_hits' partition copy, 1 MiB each at m = 2000, stay in a core's L2.
+# The width never changes a count: each sample's top set depends on that
+# sample's row alone.
 _SCAN_BLOCK = 64
 # the universe model's fixed shape: spread of the scorers' signal shares,
 # correlation of share and scale shocks, range and sd of the score scales,
@@ -196,38 +194,34 @@ def panel_precision_scan(
 ) -> np.ndarray:
     """Average top-q precision of random k-scorer panels, one per size k.
 
-    For every panel size, draws random subsets of scorers without
-    replacement, scores each candidate by the subset mean, and measures
-    precision against the truth, the mean of all scorers. The subsets of
-    one size come from one bounded-integer draw that replays
-    ``Generator.choice``'s stream (``_panel_weights``), so where ``choice``
-    runs Floyd's algorithm they are the subsets a ``choice`` call per
-    sample would give. The subset means are computed as one matrix
-    product with a sparse 0/1-weight matrix; ``top_hits`` then counts each
-    sample's top set in blocks of ``_SCAN_BLOCK`` columns, narrow so that
-    each block's transpose to sample-major rows runs in cache, with the
-    same lowest-index tie-break as the precision module. The product is never
-    split by samples: on some BLAS builds a narrow column slice of the
-    weights gives different last bits than the same columns of the full
-    product.
+    Each sample draws one uniformly random ordering of the scorers
+    (``Generator.permuted``), and its k-panel is the first k of them, a
+    uniform k-subset, so one sample's panels are nested and the sizes
+    must increase. For each block of ``_SCAN_BLOCK`` samples the scan
+    keeps one running sum of scores per sample, adds the scorers each
+    size brings in pick order, and counts with ``top_hits`` how many of
+    each sum's top candidates are in the truth's top set, the truth being
+    the mean of all scorers. Sums rank as the panel means do, up to
+    rounding, and are plain elementwise additions, so no BLAS call
+    touches them.
     """
     m, n_ais = scores.shape
     sizes, ksel = _scan_plan(n_ais, m, q, sizes, samples_per_size)
     true_mask = stable_rank(scores.mean(axis=1)) <= ksel
+    rows = np.ascontiguousarray(scores.T)
+    order = stream.generator().permuted(np.tile(np.arange(n_ais), (samples_per_size, 1)), axis=1)
 
-    g = stream.generator()
-    avg = np.empty(len(sizes))
-    for i, k in enumerate(sizes):
-        weights = _panel_weights(g, n_ais, k, samples_per_size)
-        estimates = scores @ weights
-        del weights
-        hits = sum(
-            top_hits(estimates[:, s : s + _SCAN_BLOCK], true_mask, ksel).sum()
-            for s in range(0, samples_per_size, _SCAN_BLOCK)
-        )
-        del estimates
-        avg[i] = hits / (ksel * samples_per_size)
-    return avg
+    hits = np.zeros(len(sizes), dtype=np.int64)
+    for s in range(0, samples_per_size, _SCAN_BLOCK):
+        picks = order[s : s + _SCAN_BLOCK]
+        total = np.zeros((len(picks), m))
+        added = 0
+        for i, k in enumerate(sizes):
+            for j in range(added, k):
+                total += rows[picks[:, j]]
+            added = k
+            hits[i] += top_hits(total, true_mask, ksel).sum()
+    return hits / (ksel * samples_per_size)
 
 
 def _scan_plan(
@@ -237,6 +231,9 @@ def _scan_plan(
     sizes = tuple(int(k) for k in sizes)
     if not sizes or any(k < 1 or k > n_ais for k in sizes):
         raise DomainError(f"panel sizes must be a non-empty selection of 1..{n_ais}")
+    # the scan's panels are nested, so each size must add scorers
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise DomainError(f"panel sizes {list(sizes)} must be strictly increasing")
     if max(sizes) == 1:
         raise DomainError("fitting b needs a panel size above 1")
     if samples_per_size < 1:
@@ -245,33 +242,6 @@ def _scan_plan(
     if ksel == m:
         raise DomainError(f"q {q:g} selects all {m} candidates, so b is not defined")
     return sizes, ksel
-
-
-def _panel_weights(
-    g: np.random.Generator, n_ais: int, k: int, samples: int
-) -> np.ndarray:
-    """n_ais x samples weights: 1/k on each column's random k scorers, else 0.
-
-    Where numpy's ``choice`` runs Floyd's algorithm (n_ais <= 10000 or
-    k <= n_ais // 50), these are bit for bit the weights of one
-    ``g.choice(n_ais, k, replace=False)`` per column, and g ends where
-    those calls would leave it. choice draws Floyd's picks in [0, j] for
-    j = n_ais-k .. n_ais-1, then shuffles them with draws in [0, i] for
-    i = k-1 .. 1; none of these bounds depends on a drawn value, so one
-    ``integers`` call makes every sample's draws and Floyd's rule (a pick
-    already taken in its row becomes j) is replayed column by column. The
-    shuffle draws are only consumed: the weights need the set, not its
-    order. Above that boundary ``choice`` shuffles a full arange instead;
-    the replay still draws uniform k-subsets, but not ``choice``'s.
-    """
-    weights = np.zeros((n_ais, samples))
-    floyd = np.arange(n_ais - k, n_ais)
-    bounds = np.tile(np.concatenate([floyd, np.arange(k - 1, 0, -1)]), samples)
-    picks = g.integers(0, bounds, endpoint=True).reshape(samples, -1)[:, :k]
-    for c, j in enumerate(floyd):
-        picks[(picks[:, :c] == picks[:, c : c + 1]).any(axis=1), c] = j
-    weights[picks, np.arange(samples)[:, None]] = 1.0 / k
-    return weights
 
 
 def fit_exponent_b(
@@ -396,7 +366,9 @@ def regress_b_on_rho(rows: Sequence[BGridRow]) -> BRegressionRow:
     resid = y - (intercept + slope * x)
     ss_res = float(resid @ resid)
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    if ss_tot == 0.0:
+        raise DomainError("fitted b values are all equal; R^2 undefined")
+    r_squared = 1.0 - ss_res / ss_tot
     return BRegressionRow(
         q=q_set.pop(),
         slope=slope,

@@ -54,7 +54,7 @@ def reference_overlap(x, v, k_x, k_v):
 @st.composite
 def tied_blocks(draw):
     """An m x B block rounded to one decimal, in C or F order, a truth mask
-    and a k; B = 1 is drawn often."""
+    and a k; B = 1 is drawn often. top_hits takes its B x m transpose."""
     m = draw(st.integers(1, 30))
     b = draw(st.just(1) | st.integers(1, 8))
     cells = st.lists(st.floats(-1.0, 1.0), min_size=m * b, max_size=m * b)
@@ -72,6 +72,9 @@ def reference_hits(est, truth, k):
 
 
 class TestTopHits:
+    """top_hits counts B x m sample rows; each test builds m x B columns,
+    which ``reference_hits`` ranks, and passes their transpose."""
+
     @settings(max_examples=300)
     @given(block=tied_blocks())
     @example(
@@ -92,7 +95,7 @@ class TestTopHits:
     def test_matches_stable_argsort(self, block):
         est, truth, k = block
         before = est.tobytes()
-        assert list(top_hits(est, truth, k)) == list(reference_hits(est, truth, k))
+        assert list(top_hits(est.T, truth, k)) == list(reference_hits(est, truth, k))
         assert est.tobytes() == before
 
     @pytest.mark.parametrize(
@@ -101,30 +104,33 @@ class TestTopHits:
          "F-order single column"],
     )
     def test_scan_block_views(self, layout):
-        """The m x B views a scan can pass: a column slice of a wider C-order
-        matrix, whose columns are strided, and an F-order block, each also
-        one column wide (B = 1, the tail of a scan whose sample count is one
-        more than a multiple of the block width)."""
+        """The row views a caller can pass, as transposes of m x B blocks:
+        a column slice of a wider C-order matrix gives strided rows, an
+        F-order block gives C-contiguous rows (the scan's running sums),
+        and a single column gives one row, strided or contiguous (B = 1,
+        the tail of a scan whose sample count is one more than a multiple
+        of the block width)."""
         wide = np.round(np.random.default_rng(7).uniform(-1.0, 1.0, (5, 12)), 1)
         wide[:, 6] = [2.0, 1.0, 1.0, 1.0, 0.0]  # three rows tie for two slots at k = 3
         truth = np.array([False, True, True, False, False])
         block = wide[:, 6:7] if layout.endswith("single column") else wide[:, 4:10]
         if layout.startswith("F-order"):
             block = np.asfortranarray(block)
-            assert block.flags.f_contiguous
+            assert block.T.flags.c_contiguous
         else:
-            assert not block.flags.c_contiguous
+            assert not block.T.flags.c_contiguous
         for k in range(1, 6):
-            assert list(top_hits(block, truth, k)) == list(reference_hits(block, truth, k))
+            assert list(top_hits(block.T, truth, k)) == list(reference_hits(block, truth, k))
 
     @pytest.mark.parametrize(
         "layout", ["C-contiguous block", "C-order column slice", "F-order block",
                    "single column"],
     )
     def test_leaves_its_input_unchanged(self, layout):
-        """top_hits partitions in place, so it must do so on its own copy: a
-        copy made as ``np.ascontiguousarray(est.T)`` is a view of an F-order
-        block, and partitioning it would scramble the caller's estimates."""
+        """top_hits partitions in place, so it must do so on its own copy:
+        ``np.ascontiguousarray`` of a C-contiguous block of rows, such as
+        the transpose of an F-order block, is the block itself, and
+        partitioning it would scramble the caller's estimates."""
         wide = np.random.default_rng(11).standard_normal((300, 40))
         block = {
             "C-contiguous block": wide,
@@ -135,7 +141,7 @@ class TestTopHits:
         before, wide_before = block.tobytes(), wide.tobytes()
         truth = np.arange(300) % 3 == 0
         for k in (1, 60, 299, 300):
-            top_hits(block, truth, k)
+            top_hits(block.T, truth, k)
             assert block.tobytes() == before and wide.tobytes() == wide_before
 
     @pytest.mark.parametrize(
@@ -146,18 +152,20 @@ class TestTopHits:
     def test_nan_rejected(self, column, k):
         # stable_rank puts NaN last, so the top 2 of [nan, 1, 2] hold row 1;
         # counting from the partition alone returned 0 for that column
-        est = np.column_stack([[0.0, 1.0, 2.0], column])
+        est = np.column_stack([[0.0, 1.0, 2.0], column]).T
         with pytest.raises(DomainError, match="NaN"):
             top_hits(est, np.array([False, True, False]), k)
 
     def test_domain(self):
-        est = np.zeros((4, 2))
+        est = np.zeros((2, 4))
         with pytest.raises(DomainError):
             top_hits(est, np.ones(4, dtype=bool), 0)
         with pytest.raises(DomainError):
             top_hits(est, np.ones(4, dtype=bool), 5)
         with pytest.raises(DomainError):
             top_hits(est, np.ones(3, dtype=bool), 2)
+        with pytest.raises(DomainError):
+            top_hits(np.zeros(4), np.ones(4, dtype=bool), 2)
 
 
 class TestTopCount:

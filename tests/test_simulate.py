@@ -2,7 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from panelmetrics import simulate
 from panelmetrics.errors import DomainError
@@ -156,61 +155,41 @@ class TestPanelPrecisionScan:
         assert a.tobytes() == b.tobytes()
 
     def test_size_bounds_checked(self, small_universe):
-        with pytest.raises(DomainError):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[0], samples_per_size=10)
-        with pytest.raises(DomainError):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[21], samples_per_size=10)
-        with pytest.raises(DomainError, match="panel sizes must be a non-empty"):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[], samples_per_size=10)
-        with pytest.raises(DomainError, match="fitting b needs a panel size above 1"):
-            panel_precision_scan(small_universe, 0.2, SeededStream(0), sizes=[1], samples_per_size=10)
+        class NoDraw:
+            def generator(self):
+                raise AssertionError("the scan drew before checking its sizes")
 
-
-def choice_weights(g, n, k, samples):
-    """The panel draw as one Generator.choice call per sample."""
-    weights = np.zeros((n, samples))
-    for j in range(samples):
-        weights[g.choice(n, k, replace=False), j] = 1.0 / k
-    return weights
-
-
-@st.composite
-def panel_draws(draw):
-    n = draw(st.integers(1, 60))
-    k = draw(st.integers(1, n))
-    return n, k, draw(st.integers(1, 40)), draw(st.integers(0, 2**63 - 1))
-
-
-class TestPanelWeights:
-    """The one-draw panel weights against a choice call per sample.
-
-    Fails if a numpy release changes how Generator.choice draws a set
-    without replacement.
-    """
-
-    @given(panel_draws())
-    @example((9, 9, 6, 1))  # k = n: Floyd's first bound is 0 and draws nothing
-    @example((9, 1, 6, 2))  # k = 1: no shuffle draws
-    @example((10001, 200, 3, 3))  # largest k numpy's choice runs Floyd's algorithm for
-    @settings(deadline=None)
-    def test_replays_choice(self, case):
-        n, k, samples, seed = case
-        g, g_ref = SeededStream(seed).generator(), SeededStream(seed).generator()
-        weights = simulate._panel_weights(g, n, k, samples)
-        assert weights.tobytes() == choice_weights(g_ref, n, k, samples).tobytes()
-        assert g.random() == g_ref.random()
+        cases = [
+            ([0], "panel sizes must be a non-empty"),
+            ([21], "panel sizes must be a non-empty"),
+            ([], "panel sizes must be a non-empty"),
+            ([1], "fitting b needs a panel size above 1"),
+            # the panels are nested: [5, 2] would report size 5's precision
+            # for size 2, and [2, 2] one estimate twice
+            ([5, 2], re.escape("panel sizes [5, 2] must be strictly increasing")),
+            ([2, 2], re.escape("panel sizes [2, 2] must be strictly increasing")),
+        ]
+        for sizes, message in cases:
+            with pytest.raises(DomainError, match=message):
+                panel_precision_scan(small_universe, 0.2, NoDraw(), sizes=sizes, samples_per_size=10)
 
 
 def argsort_scan(scores, q, stream, sizes, samples):
-    """The scan as one stable argsort of the whole estimate matrix per size."""
+    """The scan as one stable argsort of the whole m x samples matrix of
+    panel sums per size, each sample's panel the first k scorers of its
+    ordering, summed in pick order."""
     m, n = scores.shape
     ksel = top_count(q, m)
     true_mask = stable_rank(scores.mean(axis=1)) <= ksel
-    g = stream.generator()
+    order = stream.generator().permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    total = np.zeros((m, samples))
     avg = []
+    added = 0
     for k in sizes:
-        weights = choice_weights(g, n, k, samples)
-        top = np.argsort(-(scores @ weights), axis=0, kind="stable")[:ksel]
+        for j in range(added, k):
+            total = total + scores[:, order[:, j]]
+        added = k
+        top = np.argsort(-total, axis=0, kind="stable")[:ksel]
         avg.append(true_mask[top].sum() / (ksel * samples))
     return np.array(avg)
 
@@ -238,12 +217,25 @@ class TestScanMatchesArgsort:
         expected = argsort_scan(rounded_universe, 0.2, SeededStream(24), sizes, samples)
         assert avg.tobytes() == expected.tobytes()
 
+    def test_gapped_sizes(self, rounded_universe):
+        sizes, samples = [3, 7, 18], simulate._SCAN_BLOCK + 1
+        avg = panel_precision_scan(rounded_universe, 0.2, SeededStream(27), sizes, samples)
+        expected = argsort_scan(rounded_universe, 0.2, SeededStream(27), sizes, samples)
+        assert avg.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, "samples"])
+    def test_block_width_never_changes_bytes(self, rounded_universe, monkeypatch, block):
+        sizes, samples = [1, 2, 5, 19, 20], 2 * simulate._SCAN_BLOCK + 3
+        expected = panel_precision_scan(rounded_universe, 0.2, SeededStream(28), sizes, samples)
+        monkeypatch.setattr(simulate, "_SCAN_BLOCK", samples if block == "samples" else block)
+        avg = panel_precision_scan(rounded_universe, 0.2, SeededStream(28), sizes, samples)
+        assert avg.tobytes() == expected.tobytes()
+
 
 def test_scan_matches_argsort_at_benchmark_shape():
     """The scan against the argsort reference on a 2000 x 100 universe,
-    whose product runs BLAS's large-shape kernels, over blocks and a tail.
-    Rounded scores tie heavily, so a last-bit change in the product moves
-    some top sets."""
+    over blocks and a tail. Rounded scores tie heavily, so a last-bit
+    change in the sums moves some top sets."""
     paper = generate_universe(0.5, **PAPER, stream=SeededStream(25))
     scores = np.round(paper, 1)
     sizes = [1, 2, 5, 10, 30]
@@ -361,6 +353,15 @@ class TestRegressBOnRho:
             BGridRow(q=0.1, target_rho=0.7, measured_rho=0.7, best_b=0.5),
         ]
         assert regress_b_on_rho(rows).r_squared == pytest.approx(1.0)
+
+    def test_equal_b_rejected(self):
+        # every cell's b at the bracket's end: R^2 is 0/0, not a perfect fit
+        rows = [
+            BGridRow(q=0.2, target_rho=r, measured_rho=r, best_b=1.5)
+            for r in (0.01, 0.02)
+        ]
+        with pytest.raises(DomainError, match=re.escape("fitted b values are all equal")):
+            regress_b_on_rho(rows)
 
     def test_degenerate_spread_rejected(self):
         rows = [
