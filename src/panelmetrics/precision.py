@@ -11,9 +11,10 @@ Every top-k set is decided by ``stable_rank``, the only code that breaks
 ties: it argsorts a vector once and puts tied runs back in index order,
 and the top-k slice is the set of ranks <= k. ``overlap_counts`` turns
 two rankings into the overlap size for every k at once. ``top_hits``
-counts the same top-k sets for every row of a B x m matrix: it
-partitions a copy of each row at its k-th largest value and ranks only a
-row whose tie straddles that cut; it rejects NaN.
+counts how many of a B x m block's first k columns, the truth's top set,
+each row's own top k holds: it partitions a copy of each row at its k-th
+largest value, counts that slice against the cut, and ranks, in
+candidate order, only a row whose tie straddles the cut; it rejects NaN.
 """
 from __future__ import annotations
 
@@ -84,21 +85,23 @@ def overlap_counts(rank_x: np.ndarray, rank_v: np.ndarray) -> np.ndarray:
     return np.cumsum(np.bincount(worst, minlength=worst.size + 1))
 
 
-def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
-    """How many ``truth`` entries each row's top k holds, for a B x m block.
+def top_hits(rows: np.ndarray, k: int, index: np.ndarray) -> int:
+    """Truth hits summed over a B x m block laid out truth first.
 
-    A row's top k are the entries with ``stable_rank(row) <= k``, so ties
-    are ``stable_rank``'s. Partitioning a C-order copy of the block along
-    its rows finds each row's k-th largest value t. Every entry at or
-    above t is in the set unless a tie with t is left below the partition
-    point; only such a row is ranked. A row holding NaN raises
-    ``DomainError``: the partition sorts NaN last, so any NaN lands in
-    the entries from m - k on.
+    Column c of ``rows`` holds candidate ``index[c]``, and the first k
+    columns are the truth's top k. A row's top k are its candidates with
+    ``stable_rank <= k`` in candidate order, so ties go to the lower
+    candidate index whatever the layout. Partitioning a copy of the block
+    along its rows finds each row's k-th largest value t. One count of
+    ``rows[:, :k] >= t`` is exact unless a tie with t is left below a
+    row's partition point; such a row is ranked in candidate order. A row
+    holding NaN raises ``DomainError``: the partition sorts NaN last, so
+    any NaN lands in the entries from m - k on.
     """
-    est = np.asarray(estimates, dtype=float)
-    truth = np.asarray(truth, dtype=bool)
-    if est.ndim != 2 or truth.shape != est.shape[1:]:
-        raise DomainError("need a B x m matrix and a length-m truth mask")
+    est = np.asarray(rows, dtype=float)
+    index = np.asarray(index)
+    if est.ndim != 2 or index.shape != est.shape[1:]:
+        raise DomainError("need a B x m block and a length-m candidate index")
     m = est.shape[1]
     if not 1 <= k <= m:
         raise DomainError(f"k must lie in 1..{m}")
@@ -107,11 +110,14 @@ def top_hits(estimates: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     if np.isnan(buf[:, m - k :]).any():
         raise DomainError("estimates must not hold NaN")
     t = buf[:, m - k]
-    hits = np.count_nonzero(est[:, truth] >= t[:, None], axis=1)
+    hits = np.count_nonzero(est[:, :k] >= t[:, None])
     if k < m:
         for j in np.flatnonzero(buf[:, : m - k].max(axis=1) == t):
-            hits[j] = np.count_nonzero(truth & (stable_rank(est[j]) <= k))
-    return hits
+            by_candidate = np.empty(m)
+            by_candidate[index] = est[j]
+            in_top = stable_rank(by_candidate)[index[:k]] <= k
+            hits += np.count_nonzero(in_top) - np.count_nonzero(est[j, :k] >= t[j])
+    return int(hits)
 
 
 def precision_at_q(x: np.ndarray, v: np.ndarray, q: float) -> float:

@@ -23,7 +23,7 @@ from .precision import overlap_counts, stable_rank, top_count, top_hits
 from .streams import (
     SeededStream,
     add_calibrated_noise,
-    correlation_summary,
+    mean_correlation,
     sample_signal,
     standardize,
     superstar_transform,
@@ -46,7 +46,8 @@ _R_CLIP = (0.01, 0.999)
 _B_BOUNDS = (0.01, 1.5)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # samples per top_hits call in panel_precision_scan: the B x m running sum
-# and top_hits' partition copy, 1 MiB each at m = 2000, stay in a core's L2.
+# and top_hits' partition copy, 1 MiB each at m = 2000, stay in a core's L2,
+# and the block's B x n orderings are all the scan holds of its draws.
 # The width never changes a count: each sample's top set depends on that
 # sample's row alone.
 _SCAN_BLOCK = 64
@@ -197,30 +198,34 @@ def panel_precision_scan(
     Each sample draws one uniformly random ordering of the scorers
     (``Generator.permuted``), and its k-panel is the first k of them, a
     uniform k-subset, so one sample's panels are nested and the sizes
-    must increase. For each block of ``_SCAN_BLOCK`` samples the scan
-    keeps one running sum of scores per sample, adds the scorers each
-    size brings in pick order, and counts with ``top_hits`` how many of
-    each sum's top candidates are in the truth's top set, the truth being
-    the mean of all scorers. Sums rank as the panel means do, up to
-    rounding, and are plain elementwise additions, so no BLAS call
-    touches them.
+    must increase. The candidates are laid out truth first: the truth's
+    top set (the truth being the mean of all scorers), then the rest, each
+    part in candidate order. Each block of ``_SCAN_BLOCK`` samples draws
+    its orderings as it starts (``permuted`` shuffles row after row, so
+    they are those of one draw for all samples), keeps one running sum of
+    scores per sample, adds the scorers each size brings in pick order,
+    and counts with ``top_hits`` how many truth columns each sum's top set
+    holds. Sums rank as the panel means do, up to rounding, and are plain
+    elementwise additions, so no BLAS call touches them.
     """
     m, n_ais = scores.shape
     sizes, ksel = _scan_plan(n_ais, m, q, sizes, samples_per_size)
     true_mask = stable_rank(scores.mean(axis=1)) <= ksel
-    rows = np.ascontiguousarray(scores.T)
-    order = stream.generator().permuted(np.tile(np.arange(n_ais), (samples_per_size, 1)), axis=1)
+    index = np.concatenate([np.flatnonzero(true_mask), np.flatnonzero(~true_mask)])
+    rows = np.ascontiguousarray(scores[index].T)
+    g = stream.generator()
 
     hits = np.zeros(len(sizes), dtype=np.int64)
     for s in range(0, samples_per_size, _SCAN_BLOCK):
-        picks = order[s : s + _SCAN_BLOCK]
-        total = np.zeros((len(picks), m))
+        width = min(_SCAN_BLOCK, samples_per_size - s)
+        picks = g.permuted(np.tile(np.arange(n_ais), (width, 1)), axis=1)
+        total = np.zeros((width, m))
         added = 0
         for i, k in enumerate(sizes):
             for j in range(added, k):
                 total += rows[picks[:, j]]
             added = k
-            hits[i] += top_hits(total, true_mask, ksel).sum()
+            hits[i] += top_hits(total, ksel, index)
     return hits / (ksel * samples_per_size)
 
 
@@ -333,7 +338,7 @@ def b_grid_scan(
         avg = panel_precision_scan(
             scores, q, cell_stream.derive(1), scan.sizes, scan.samples_per_size
         )
-        rho = correlation_summary(scores)[1]
+        rho = mean_correlation(scores)
         if not 0.0 < rho < 1.0:
             raise DomainError(f"cell q={q:g}, target rho {target:g}: measured rho {rho!r} "
                               "lies outside (0, 1), so b cannot be fitted")

@@ -16,8 +16,9 @@ throwaway ``SeedSequence`` from OS entropy before it applies the key;
 generator per stream for a few streams, and ``children`` for a loop over
 many sibling streams, such as the per-trial streams of ``curves``.
 
-``standardize`` and ``correlation_summary`` check every column's spread
-by one rule, so a column either has a usable sd or raises DomainError.
+``standardize``, ``correlation_summary`` and ``mean_correlation`` check
+every column's spread by one rule, so a column either has a usable sd or
+raises DomainError; ``mean_correlation`` builds no correlation matrix.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ __all__ = [
     "superstar_transform",
     "standardize",
     "correlation_summary",
+    "mean_correlation",
 ]
 
 #: signal distributions, in the order of the ``curves`` columns and streams
@@ -213,12 +215,33 @@ def standardize(x: np.ndarray) -> np.ndarray:
     return (x - x.mean(axis=0)) / sd
 
 
-def correlation_summary(scores: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pearson correlation matrix of the columns and its mean off-diagonal value."""
+def _correlation_sd(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checked m x n matrix of a correlation and its columns' sds."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] < 2:
         raise DomainError("need a 2-d matrix with at least 2 columns")
-    _column_sd(scores, "constant column has undefined correlation")
+    return scores, _column_sd(scores, "constant column has undefined correlation")
+
+
+def correlation_summary(scores: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pearson correlation matrix of the columns and its mean off-diagonal value."""
+    scores, _ = _correlation_sd(scores)
     corr = np.corrcoef(scores, rowvar=False)
     n = corr.shape[0]
     return corr, float((corr.sum() - n) / (n * (n - 1)))
+
+
+def mean_correlation(scores: np.ndarray) -> float:
+    """Mean off-diagonal Pearson correlation of the columns, with no BLAS call.
+
+    For z, the columns standardized with the population sd, the
+    correlations sum to ||z 1||^2 / m and their diagonal to ||z||^2 / m = n,
+    so the mean is (||z 1||^2 - ||z||^2) / ((n - 1) ||z||^2). Both squared
+    norms sum the m rows in the same order, so two identical columns give
+    exactly 1 and two opposite ones exactly -1; rounding above 1 is clipped.
+    """
+    scores, sd = _correlation_sd(scores)
+    z = (scores - scores.mean(axis=0)) / sd
+    row = z.sum(axis=1)
+    diag = (z * z).sum(axis=1).sum()
+    return min(float(((row * row).sum() - diag) / ((z.shape[1] - 1) * diag)), 1.0)

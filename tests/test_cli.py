@@ -771,6 +771,21 @@ class TestScaling:
         assert main([*argv, "--boost", "1e308"]) == 2
         assert capsys.readouterr().err == "error: boost 1e+308 overflows the tail transform\n"
 
+    def test_identical_scorers_exit_2_naming_the_cell(self, capsys, monkeypatch, tmp_path):
+        """Two identical scorers measure rho exactly 1, so b cannot be fitted."""
+        tiny = dataclasses.replace(simulate.PRESETS["desk"], n_ais=2, m_candidates=6)
+        col = np.array([7.0, 7.5, 6.1, 8.2, 6.9, 7.3])
+        monkeypatch.setattr(simulate, "generate_universe",
+                            lambda *a: np.column_stack([col, col]))
+        argv = ["scaling", "--q", "0.5", "--rho", "0.3", "--samples", "3", "--max-size", "2",
+                "--out", str(tmp_path / "out")]
+        with mock.patch.dict(simulate.PRESETS, desk=tiny):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: cell q=0.5, target rho 0.3: measured rho 1.0 lies outside (0, 1), "
+            "so b cannot be fitted\n"
+        )
+
 
 def write_fixture_table(
     path, seed=90, m=40, n_ai=4, names=("alpha", "beta"), ranked=False

@@ -53,16 +53,19 @@ def reference_overlap(x, v, k_x, k_v):
 
 @st.composite
 def tied_blocks(draw):
-    """An m x B block rounded to one decimal, in C or F order, a truth mask
-    and a k; B = 1 is drawn often. top_hits takes its B x m transpose."""
+    """An m x B block rounded to one decimal, in C or F order, a k and a
+    truth mask of k candidates; B = 1 is drawn often. top_hits takes the
+    block's B x m transpose, laid out truth first."""
     m = draw(st.integers(1, 30))
     b = draw(st.just(1) | st.integers(1, 8))
     cells = st.lists(st.floats(-1.0, 1.0), min_size=m * b, max_size=m * b)
     est = np.round(np.array(draw(cells)).reshape(m, b), 1)
     if draw(st.booleans()):
         est = np.asfortranarray(est)
-    truth = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
-    return est, truth, draw(st.integers(1, m))
+    k = draw(st.integers(1, m))
+    truth = np.zeros(m, dtype=bool)
+    truth[draw(st.permutations(range(m)))[:k]] = True
+    return est, truth, k
 
 
 def reference_hits(est, truth, k):
@@ -71,9 +74,16 @@ def reference_hits(est, truth, k):
     return truth[top].sum(axis=0)
 
 
+def truth_first(truth):
+    """Candidate index of the truth-first layout: the truth's candidates,
+    then the rest, each part in candidate order."""
+    return np.concatenate([np.flatnonzero(truth), np.flatnonzero(~truth)])
+
+
 class TestTopHits:
-    """top_hits counts B x m sample rows; each test builds m x B columns,
-    which ``reference_hits`` ranks, and passes their transpose."""
+    """top_hits counts B x m sample rows laid out truth first; each test
+    builds m x B columns in candidate order, which ``reference_hits``
+    ranks, and passes their transpose in that layout."""
 
     @settings(max_examples=300)
     @given(block=tied_blocks())
@@ -85,18 +95,35 @@ class TestTopHits:
         )
     )
     @example(
-        # three rows tie at the boundary for two free slots
+        # three candidates tie at the boundary for two free slots, and the
+        # layout puts truth candidates 2 and 3 ahead of candidate 1
         block=(
             np.array([[2.0], [1.0], [1.0], [1.0], [0.0]]),
-            np.array([False, True, True, False, False]),
+            np.array([False, False, True, True, True]),
             3,
         )
     )
     def test_matches_stable_argsort(self, block):
         est, truth, k = block
         before = est.tobytes()
-        assert list(top_hits(est.T, truth, k)) == list(reference_hits(est, truth, k))
+        index = truth_first(truth)
+        rows = est.T[:, index]
+        assert top_hits(rows, k, index) == reference_hits(est, truth, k).sum()
+        for j in range(est.shape[1]):
+            assert top_hits(rows[j : j + 1], k, index) == reference_hits(est[:, j : j + 1], truth, k)
         assert est.tobytes() == before
+
+    def test_tie_goes_to_the_lower_candidate_not_the_first_column(self):
+        """Candidates 0 and 2 tie for the second slot. The layout puts truth
+        candidate 2 in column 0, ahead of candidate 0 in column 2; the slot
+        is candidate 0's, so the row holds no truth candidate. Ranking the
+        row by column position would count one."""
+        est = np.array([[3.0], [5.0], [3.0], [0.0]])
+        truth = np.array([False, False, True, True])
+        index = truth_first(truth)
+        assert list(index) == [2, 3, 0, 1]
+        assert reference_hits(est, truth, 2).tolist() == [0]
+        assert top_hits(est.T[:, index], 2, index) == 0
 
     @pytest.mark.parametrize(
         "layout",
@@ -104,15 +131,14 @@ class TestTopHits:
          "F-order single column"],
     )
     def test_scan_block_views(self, layout):
-        """The row views a caller can pass, as transposes of m x B blocks:
-        a column slice of a wider C-order matrix gives strided rows, an
-        F-order block gives C-contiguous rows (the scan's running sums),
-        and a single column gives one row, strided or contiguous (B = 1,
-        the tail of a scan whose sample count is one more than a multiple
-        of the block width)."""
+        """The row views a caller can pass, as transposes of m x B blocks in
+        the identity layout: a column slice of a wider C-order matrix gives
+        strided rows, an F-order block gives C-contiguous rows (the scan's
+        running sums), and a single column gives one row, strided or
+        contiguous (B = 1, the tail of a scan whose sample count is one more
+        than a multiple of the block width)."""
         wide = np.round(np.random.default_rng(7).uniform(-1.0, 1.0, (5, 12)), 1)
         wide[:, 6] = [2.0, 1.0, 1.0, 1.0, 0.0]  # three rows tie for two slots at k = 3
-        truth = np.array([False, True, True, False, False])
         block = wide[:, 6:7] if layout.endswith("single column") else wide[:, 4:10]
         if layout.startswith("F-order"):
             block = np.asfortranarray(block)
@@ -120,7 +146,8 @@ class TestTopHits:
         else:
             assert not block.T.flags.c_contiguous
         for k in range(1, 6):
-            assert list(top_hits(block.T, truth, k)) == list(reference_hits(block, truth, k))
+            truth = np.arange(5) < k
+            assert top_hits(block.T, k, np.arange(5)) == reference_hits(block, truth, k).sum()
 
     @pytest.mark.parametrize(
         "layout", ["C-contiguous block", "C-order column slice", "F-order block",
@@ -139,9 +166,8 @@ class TestTopHits:
             "single column": wide[:, 5:6],
         }[layout]
         before, wide_before = block.tobytes(), wide.tobytes()
-        truth = np.arange(300) % 3 == 0
         for k in (1, 60, 299, 300):
-            top_hits(block.T, truth, k)
+            top_hits(block.T, k, np.arange(300))
             assert block.tobytes() == before and wide.tobytes() == wide_before
 
     @pytest.mark.parametrize(
@@ -154,18 +180,18 @@ class TestTopHits:
         # counting from the partition alone returned 0 for that column
         est = np.column_stack([[0.0, 1.0, 2.0], column]).T
         with pytest.raises(DomainError, match="NaN"):
-            top_hits(est, np.array([False, True, False]), k)
+            top_hits(est, k, np.arange(3))
 
     def test_domain(self):
         est = np.zeros((2, 4))
         with pytest.raises(DomainError):
-            top_hits(est, np.ones(4, dtype=bool), 0)
+            top_hits(est, 0, np.arange(4))
         with pytest.raises(DomainError):
-            top_hits(est, np.ones(4, dtype=bool), 5)
+            top_hits(est, 5, np.arange(4))
         with pytest.raises(DomainError):
-            top_hits(est, np.ones(3, dtype=bool), 2)
+            top_hits(est, 2, np.arange(3))
         with pytest.raises(DomainError):
-            top_hits(np.zeros(4), np.ones(4, dtype=bool), 2)
+            top_hits(np.zeros(4), 2, np.arange(4))
 
 
 class TestTopCount:

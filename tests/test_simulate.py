@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from panelmetrics.streams import (
     SeededStream,
     add_calibrated_noise,
     correlation_summary,
+    mean_correlation,
     sample_signal,
 )
 
@@ -223,6 +225,17 @@ class TestScanMatchesArgsort:
         expected = argsort_scan(rounded_universe, 0.2, SeededStream(27), sizes, samples)
         assert avg.tobytes() == expected.tobytes()
 
+    def test_integer_scores_tie_their_sums(self, small_universe):
+        """Integer scores give exactly tied panel sums, so many rows' ties
+        straddle the cut, and the truth-first layout puts a truth candidate
+        ahead of non-truth candidates with lower indices."""
+        scores = np.round(small_universe * 2.0)
+        sizes, samples = [1, 2, 3, 6, 20], simulate._SCAN_BLOCK + 9
+        for q in (0.05, 0.2, 0.5):
+            avg = panel_precision_scan(scores, q, SeededStream(29), sizes, samples)
+            expected = argsort_scan(scores, q, SeededStream(29), sizes, samples)
+            assert avg.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("block", [1, 7, "samples"])
     def test_block_width_never_changes_bytes(self, rounded_universe, monkeypatch, block):
         sizes, samples = [1, 2, 5, 19, 20], 2 * simulate._SCAN_BLOCK + 3
@@ -243,6 +256,22 @@ def test_scan_matches_argsort_at_benchmark_shape():
     avg = panel_precision_scan(scores, 0.2, SeededStream(26), sizes, samples)
     expected = argsort_scan(scores, 0.2, SeededStream(26), sizes, samples)
     assert avg.tobytes() == expected.tobytes()
+
+
+def test_scan_memory_does_not_grow_with_samples():
+    """The scan draws each block's orderings as the block starts, so its
+    traced peak at paper shape is the same for one block and for 4,000
+    samples: no array of all samples' orderings is held."""
+    scores = generate_universe(0.5, **PAPER, stream=SeededStream(30))
+    peaks = []
+    for samples in (simulate._SCAN_BLOCK, 4000):
+        tracemalloc.start()
+        try:
+            panel_precision_scan(scores, 0.2, SeededStream(31), [1, 2], samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
 
 class TestFitExponentB:
@@ -319,10 +348,21 @@ class TestBGridScan:
                 cell = root.derive(i_q * len(rhos) + i_r)
                 scores = generate_universe(rho, 12, 300, cell.derive(0), boost=0.5)
                 avg = panel_precision_scan(scores, q, cell.derive(1), range(1, 6), 70)
-                measured = correlation_summary(scores)[1]
+                measured = mean_correlation(scores)
                 best_b = fit_exponent_b(range(1, 6), avg, measured, q)
                 expected.append(BGridRow(q, rho, measured, best_b))
         assert rows == expected
+
+    def test_no_correlation_matrix(self, monkeypatch):
+        """A cell measures rho from row sums: np.corrcoef and np.cov, the
+        only BLAS-backed correlation calls, are never made."""
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a correlation matrix was built")
+
+        monkeypatch.setattr(np, "corrcoef", no_matrix)
+        monkeypatch.setattr(np, "cov", no_matrix)
+        rows = b_grid_scan([0.2], [0.4, 0.6], self.SCAN, base_seed=78, threads=2)
+        assert [0.0 < row.measured_rho < 1.0 for row in rows] == [True, True]
 
     def test_measured_rho_outside_unit_interval_named(self, monkeypatch):
         # three scorers over six candidates measure -0.0303 at a target of 0.01

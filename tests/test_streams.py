@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from panelmetrics.errors import DomainError
 from panelmetrics.streams import (
     DISTRIBUTION_KINDS,
     SeededStream,
     add_calibrated_noise,
+    correlation_summary,
+    mean_correlation,
     sample_signal,
     standardize,
     superstar_transform,
@@ -268,3 +271,86 @@ class TestStandardize:
             standardize(x)
         with np.errstate(all="raise"), pytest.raises(DomainError, match=message):
             standardize(column)
+
+
+@st.composite
+def correlated_matrices(draw):
+    """An m x n matrix of independent, equicorrelated or alternately
+    signed columns (every other column loads negatively on the common
+    factor), shifted and scaled."""
+    m, n = draw(st.integers(3, 60)), draw(st.integers(2, 8))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = draw(st.floats(0.0, 1.0))
+    loading = {
+        "independent": np.zeros(n),
+        "equicorrelated": np.full(n, np.sqrt(rho)),
+        "alternating": np.sqrt(rho) * (-1.0) ** np.arange(n),
+    }[draw(st.sampled_from(["independent", "equicorrelated", "alternating"]))]
+    cols = g.standard_normal(m)[:, None] * loading + np.sqrt(1.0 - loading**2) * g.standard_normal(
+        (m, n)
+    )
+    return draw(st.floats(-1e4, 1e4)) + draw(st.floats(1e-3, 1e3)) * cols
+
+
+class TestMeanCorrelation:
+    """mean_correlation against the mean off-diagonal entry of np.corrcoef."""
+
+    @settings(max_examples=300)
+    @given(mat=correlated_matrices())
+    @example(mat=np.column_stack([np.arange(6.0), np.arange(6.0)]))
+    @example(mat=np.column_stack([np.arange(6.0), -np.arange(6.0)]))
+    @example(mat=np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]))
+    @example(mat=np.tile([[0.1], [0.1], [0.1], [0.2]], 3))
+    @example(mat=np.column_stack([np.arange(6.0), np.full(6, 7.3)]))
+    @example(mat=np.random.default_rng(3).standard_normal((40, 3)) * 1e-300)
+    @example(mat=np.random.default_rng(3).standard_normal((40, 3)) * 1e200)
+    def test_matches_correlation_matrix(self, mat):
+        """Equal within a few ulps times n, or the same DomainError."""
+        n = mat.shape[1]
+        try:
+            expected = correlation_summary(mat)[1]
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                mean_correlation(mat)
+            return
+        got = mean_correlation(mat)
+        assert abs(got - expected) <= 8 * n * np.finfo(float).eps
+        assert -1.0 / (n - 1) <= got <= 1.0
+
+    @pytest.mark.parametrize(
+        "mat, expected",
+        [
+            (np.column_stack([np.arange(6.0), np.arange(6.0)]), 1.0),
+            (np.column_stack([np.arange(6.0) * 0.1, np.arange(6.0) * 0.1]), 1.0),
+            (np.column_stack([np.arange(6.0), -np.arange(6.0)]), -1.0),
+            (np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]), 0.0),
+            # three identical columns sum to 1 + 2 ulps before the clip
+            (np.tile([[0.1], [0.1], [0.1], [0.2]], 3), 1.0),
+        ],
+        ids=["identical", "identical-inexact", "opposite", "uncorrelated", "three-identical"],
+    )
+    def test_edge_cases_are_exact(self, mat, expected):
+        assert mean_correlation(mat) == expected
+
+    # the scaled matrices have a spread whose squares underflow or overflow
+    @pytest.mark.parametrize(
+        "scale, column, message",
+        [
+            (1.0, np.full(40, 7.3), "constant column has undefined correlation"),
+            (1e-300, None, "scores too small in scale for their spread to be represented"),
+            (1e200, None, "column sd is not finite"),
+        ],
+        ids=["constant-column", "scaled-1e-300", "scaled-1e200"],
+    )
+    def test_degenerate_scores_rejected(self, scale, column, message):
+        mat = np.random.default_rng(3).standard_normal((40, 3)) * scale
+        if column is not None:
+            mat[:, 1] = column
+        for measure in (mean_correlation, lambda x: correlation_summary(x)[1]):
+            with np.errstate(all="raise"), pytest.raises(DomainError, match=f"^{message}"):
+                measure(mat)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 1), (2, 3, 4)])
+    def test_needs_a_matrix_of_two_columns(self, shape):
+        with pytest.raises(DomainError, match="need a 2-d matrix with at least 2 columns"):
+            mean_correlation(np.arange(float(np.prod(shape))).reshape(shape))
